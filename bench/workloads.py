@@ -188,6 +188,10 @@ def _check_weak(components: list, count: int):
 def weak_battery(rng: random.Random, work_dir: str, out_dir: str) -> list:
     counts = [4, 5, 6, 7, 8] * 5
     ref_counts = rng.sample(counts, len(counts))
+    # deck[0] is the untimed warm-up inside setup_s: give it the middle bump
+    # count, so set-up time does not depend on the seed.
+    middle = ref_counts.index(6)
+    ref_counts[0], ref_counts[middle] = ref_counts[middle], ref_counts[0]
     euler_counts = rng.sample(counts, len(counts))
     rhos = _strata(rng, len(counts), 1.5, 4.0)
     gamma = 2.0
