@@ -375,18 +375,14 @@ def _run_weak_verify(cfg: RunConfig):
     if sol.model.carries_entropy:
         default_components.append("energy")
     components = task.get("components", default_components)
-    quad = SpacetimeQuadrature(
-        order=int(task.get("order", 8)), panels=int(task.get("panels", 16))
-    )
+    quad = SpacetimeQuadrature(order=task.get("order", 8), panels=task.get("panels", 16))
     if "bumps" in task:
         bumps = [
             BumpTestFunction(float(b["t0"]), float(b["x0"]), float(b["rt"]), float(b["rx"]))
             for b in task["bumps"]
         ]
     else:
-        bumps = standard_battery(
-            sol, count=int(task.get("count", 20)), seed=int(task.get("seed", 0))
-        )
+        bumps = standard_battery(sol, count=task.get("count", 20), seed=task.get("seed", 0))
     tol = cfg.tolerances["weak_residual"]
     rows = []
     worst = 0.0

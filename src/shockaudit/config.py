@@ -47,6 +47,20 @@ def _check_keys(block: dict, allowed, required, where: str) -> None:
         raise ConfigError(f"missing keys {missing} in {where}")
 
 
+def _validate_weak_task(task: dict) -> None:
+    """Quadrature sizes and the bump battery must make a non-vacuous audit."""
+    for key in ("order", "panels", "count"):
+        value = task.get(key, 1)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"task.{key} must be a positive integer, got {value!r}")
+    for key in ("components", "bumps"):
+        if key in task and not (isinstance(task[key], list) and task[key]):
+            raise ConfigError(f"task.{key} must be a non-empty list")
+    keys = {"t0", "x0", "rt", "rx"}
+    for i, bump in enumerate(task.get("bumps", [])):
+        _check_keys(bump, keys, keys, f"task.bumps[{i}]")
+
+
 def model_to_dict(model: GasModel) -> dict:
     out = {"kind": model.kind.value, "gamma": model.gamma}
     if model.kind is GasKind.BAROTROPIC_POLYTROPIC:
@@ -185,6 +199,8 @@ def validate_config(raw: dict) -> RunConfig:
     if name not in TASK_NAMES:
         raise ConfigError(f"unknown task {name!r}; expected one of {list(TASK_NAMES)}")
     _check_keys(task_block, _TASK_KEYS[name], {"name"}, "task")
+    if name == "weak-verify":
+        _validate_weak_task(task_block)
 
     tolerances = dict(TOLERANCE_DEFAULTS)
     if "tolerances" in raw:

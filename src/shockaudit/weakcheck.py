@@ -9,6 +9,7 @@ Gauss quadrature evaluates the residual to near machine precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,12 @@ class SpacetimeQuadrature:
     panels: int = 16
     shock_aligned: bool = True
 
+    def __post_init__(self):
+        for name in ("order", "panels"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise InvalidStateError(f"quadrature {name} must be a positive integer, got {value!r}")
+
     def nodes(self):
         return np.polynomial.legendre.leggauss(self.order)
 
@@ -101,15 +108,20 @@ class SpacetimeQuadrature:
 def _panel_nodes(lo, hi, panels, base_nodes, base_weights):
     """Composite Gauss nodes/weights on [lo, hi] with cosine-graded panels.
 
+    lo and hi are scalars or same-shape arrays of interval ends; the nodes
+    and weights get one trailing axis of panels * order points per interval.
     Panel edges cluster at both interval ends, where the mollifier profiles
     are flat but only root-exponentially so; grading restores fast
     convergence there at no cost in the interior.
     """
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
     edges = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * np.arange(panels + 1) / panels))
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    xs = (mid[:, None] + half[:, None] * base_nodes[None, :]).ravel()
-    ws = (half[:, None] * base_weights[None, :]).ravel()
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    shape = half.shape[:-1] + (-1,)
+    xs = (mid[..., None] + half[..., None] * base_nodes).reshape(shape)
+    ws = (half[..., None] * base_weights).reshape(shape)
     return xs, ws
 
 
@@ -164,45 +176,56 @@ def weak_residual(
 ) -> float:
     """Spacetime residual of one conservation law against the test function h.
 
-    h needs value/dt/dx methods and a support() box (BumpTestFunction or any
-    linear combination with the same surface).  The result is zero up to
+    h needs dt/dx methods and a support() box (BumpTestFunction or any
+    linear combination with the same surface).  dt and dx receive
+    broadcastable arrays, t of shape (nt, 1) and x of shape (nt, nx), and
+    must return values broadcastable to (nt, nx).  The result is zero up to
     quadrature error iff the candidate satisfies both the bulk equation and
     the jump condition of the chosen component wherever h is supported.
+
+    Between consecutive time cuts the shocks inside the box are fixed, so
+    every sub-region's x-breakpoints are linear in t and each (time slab,
+    sub-region) pair is one (nt, nx) tensor evaluation of h.
     """
     box = h.support()
     _require_support_inside(sol, box)
-    consts = _component_values(sol, component)
+    consts = np.array(_component_values(sol, component))
     base_nodes, base_weights = quad.nodes()
     t_lo, t_hi, x_lo, x_hi = box
+    x0 = np.array(sol.shock_positions_t0)
+    speeds = np.array(sol.shock_speeds)
 
     total = 0.0
     cuts = _time_cuts(sol, box, quad.shock_aligned)
     for ta, tb in zip(cuts, cuts[1:]):
         ts, wts = _panel_nodes(ta, tb, quad.panels, base_nodes, base_weights)
-        for t, wt in zip(ts, wts):
-            breaks = [x_lo, x_hi]
-            if quad.shock_aligned:
-                for i in range(len(sol.shock_speeds)):
-                    xs_pos = sol.shock_position(i, t)
-                    if x_lo < xs_pos < x_hi:
-                        breaks.append(xs_pos)
-            breaks.sort()
-            acc = 0.0
-            for lo, hi in zip(breaks, breaks[1:]):
-                if hi <= lo:
-                    continue
-                region = sol.region_index(t, 0.5 * (lo + hi))
-                U, F = consts[region]
-                xs, wxs = _panel_nodes(lo, hi, quad.panels, base_nodes, base_weights)
-                acc += U * float(np.dot(wxs, h.dt(t, xs))) + F * float(np.dot(wxs, h.dx(t, xs)))
-            total += wt * acc
-    return float(total)
+        shock_xs = x0[:, None] + speeds[:, None] * ts
+        breaks = [np.full_like(ts, x_lo)]
+        if quad.shock_aligned:
+            at_mid = x0 + speeds * (0.5 * (ta + tb))
+            breaks += list(shock_xs[(x_lo < at_mid) & (at_mid < x_hi)])
+        breaks.append(np.full_like(ts, x_hi))
+        acc = np.zeros_like(ts)
+        for lo, hi in zip(breaks, breaks[1:]):
+            # Region per time node: without shock alignment a moving shock
+            # can cross the sub-interval midpoint inside the slab.
+            region = np.count_nonzero(shock_xs < 0.5 * (lo + hi), axis=0)
+            U, F = consts[region].T
+            xs, wxs = _panel_nodes(lo, hi, quad.panels, base_nodes, base_weights)
+            acc += U * (wxs * h.dt(ts[:, None], xs)).sum(axis=1)
+            acc += F * (wxs * h.dx(ts[:, None], xs)).sum(axis=1)
+        total += float(np.dot(wts, acc))
+    if not math.isfinite(total):
+        raise NumericalError(f"non-finite {component} weak residual {total}")
+    return total
 
 
 def standard_battery(
     sol: PiecewiseShockSolution, count: int = 20, seed: int = 0
 ) -> list[BumpTestFunction]:
     """Deterministic battery of bumps: half straddling shocks, half in the bulk."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidStateError(f"battery seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     t_lo = max(sol.horizon[0], 0.0)
     t_hi = min(sol.horizon[1], 0.5)

@@ -162,3 +162,61 @@ def scan_full(gamma, e_ref, c_v, rho_l, u_l, s_l, rho_r, tol=1e-9):
         s_root = rho_r * c_v * math.log(p_root / ((gamma - 1.0) * e_ref * rho_r ** gamma))
         roots.append((u_of_v(v_root), s_root, v_root))
     return roots
+
+
+def baro_laws(K, gamma, rho, u):
+    """{component: (U, F)} of the barotropic system for one constant state."""
+    p = baro_pressure(K, gamma, rho)
+    E = baro_energy_density(K, gamma, rho, u)
+    return {"mass": (rho, rho * u), "momentum": (rho * u, rho * u ** 2 + p), "energy": (E, (E + p) * u)}
+
+
+def graded_gauss(a, b, order, panels):
+    """Composite Gauss rule on [a, b], panels graded as (1 - cos(pi k / panels)) / 2."""
+    g, w = np.polynomial.legendre.leggauss(order)
+    nodes, weights = [], []
+    for k in range(panels):
+        e0 = a + (b - a) * (1.0 - math.cos(math.pi * k / panels)) / 2.0
+        e1 = a + (b - a) * (1.0 - math.cos(math.pi * (k + 1) / panels)) / 2.0
+        centre, radius = (e0 + e1) / 2.0, (e1 - e0) / 2.0
+        nodes.extend(centre + radius * g)
+        weights.extend(radius * w)
+    return nodes, weights
+
+
+def loop_weak_residual(regions, shock_x0, shock_v, h, order, panels, shock_aligned=True):
+    """Integral of U h_t + F h_x over h's support box, one time node at a time.
+
+    regions[k] = (U, F) holds left of shock k and right of shock k - 1;
+    shock k sits at shock_x0[k] + shock_v[k] * t.  The time axis is cut
+    where a shock crosses an x-edge of the box, and at every time node the
+    x-axis is cut at the shocks inside the box (with shock_aligned), so the
+    Gauss rules only ever see smooth integrands.  h is called with a scalar
+    t and a 1-d array of x.  U and F may be arrays (one entry per law), and
+    the result then has their shape.
+    """
+    t_lo, t_hi, x_lo, x_hi = h.support()
+    t_cuts = [t_lo, t_hi]
+    if shock_aligned:
+        for x0, v in zip(shock_x0, shock_v):
+            for edge in (x_lo, x_hi):
+                if v != 0.0 and t_lo < (edge - x0) / v < t_hi:
+                    t_cuts.append((edge - x0) / v)
+    t_cuts.sort()
+    total = 0.0
+    for ta, tb in zip(t_cuts, t_cuts[1:]):
+        for t, wt in zip(*graded_gauss(ta, tb, order, panels)):
+            positions = [x0 + v * t for x0, v in zip(shock_x0, shock_v)]
+            cuts = [x_lo, x_hi]
+            if shock_aligned:
+                cuts += [x for x in positions if x_lo < x < x_hi]
+            cuts.sort()
+            inner = 0.0
+            for a, b in zip(cuts, cuts[1:]):
+                centre = (a + b) / 2.0
+                U, F = regions[sum(1 for x in positions if x < centre)]
+                xs, ws = graded_gauss(a, b, order, panels)
+                xs, ws = np.array(xs), np.array(ws)
+                inner += U * float(np.sum(ws * h.dt(t, xs))) + F * float(np.sum(ws * h.dx(t, xs)))
+            total += wt * inner
+    return total

@@ -250,6 +250,48 @@ class TestWeakVerify:
         )
         assert main(["--config", write_config(tmp_path, cfg)]) == 1
 
+    @pytest.mark.parametrize(
+        "task",
+        [
+            {"panels": 0},
+            {"panels": -3},
+            {"order": 0},
+            {"order": 2.7},
+            {"order": True},
+            {"count": 0},
+            {"bumps": []},
+            {"bumps": [{"t0": 0.25, "x0": 0.0, "rt": 0.1}]},
+            {"components": []},
+            {"components": ["vorticity"]},
+            {"seed": -1},
+            {"seed": 1.5},
+        ],
+    )
+    def test_vacuous_or_malformed_battery_is_validation_error(self, tmp_path, capsys, task):
+        # Each of these used to pass with zero work, truncate silently, or
+        # escape as a traceback; none may reach an audit verdict.
+        cfg = self.base_config(tmp_path, [{"rho": 1.0, "u": 2.0}, {"rho": 2.0, "u": 1.0}])
+        cfg["task"].update(task)
+        assert main(["--config", write_config(tmp_path, cfg)]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["kind"] == "validation"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_is_validation_error(self, tmp_path, capsys):
+        cfg = self.base_config(tmp_path, [{"rho": 1.0, "u": 2.0}, {"rho": 2.0, "u": 1.0}])
+        assert main(["--config", write_config(tmp_path, cfg), "--seed", "-2"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "validation"
+
+    def test_non_finite_residual_is_numerical_error(self, tmp_path, capsys):
+        # NaN states slip through the jump-condition check (NaN > tol is
+        # false); the weak residual must refuse them with status 4.
+        nan_state = {"rho": 1.0, "u": float("nan")}
+        cfg = self.base_config(tmp_path, [nan_state, nan_state])
+        cfg["task"]["components"] = ["momentum"]
+        assert main(["--config", write_config(tmp_path, cfg)]) == 4
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["kind"] == "numerical"
+
 
 class TestRoundTrips:
     def test_model_round_trip(self):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import baro_laws, loop_weak_residual
+
 from shockaudit.eos import FluidState, GasModel
 from shockaudit.errors import DomainError, InvalidStateError, NumericalError
 from shockaudit.rh import hugoniot_solve_barotropic, rh_residuals
@@ -184,6 +186,141 @@ class TestWeakResidual:
         bump = BumpTestFunction(0.3, sol.shock_position(0, 0.3), 0.15, 0.3)
         assert abs(weak_residual(sol, "mass", bump)) < 1e-8
         assert abs(weak_residual(sol, "momentum", bump)) < 1e-8
+
+
+class BumpSum:
+    """Sum of bumps on their union box, exposing only dt, dx and support."""
+
+    def __init__(self, *bumps):
+        boxes = [b.support() for b in bumps]
+        self.bumps = bumps
+        self.box = (
+            min(b[0] for b in boxes),
+            max(b[1] for b in boxes),
+            min(b[2] for b in boxes),
+            max(b[3] for b in boxes),
+        )
+
+    def support(self):
+        return self.box
+
+    def dt(self, t, x):
+        return sum(b.dt(t, x) for b in self.bumps)
+
+    def dx(self, t, x):
+        return sum(b.dx(t, x) for b in self.bumps)
+
+
+def moving_barotropic():
+    """A barotropic shock moving at its Hugoniot speed, downstream u off by 0.1."""
+    model = GasModel.barotropic(K=1.0, gamma=1.4)
+    left = FluidState(1.0, 0.0)
+    u_r, v_s = hugoniot_solve_barotropic(left, 2.0, model)
+    return PiecewiseShockSolution(
+        model=model,
+        states=(left, FluidState(2.0, u_r + 0.1)),
+        shock_positions_t0=(0.0,),
+        shock_speeds=(v_s,),
+        domain=Domain1D(-2.5, 1.5),
+        validate=False,
+    )
+
+
+def two_shock():
+    return PiecewiseShockSolution(
+        model=GasModel.barotropic(K=0.8, gamma=1.6),
+        states=(FluidState(1.0, 0.3), FluidState(1.6, -0.2), FluidState(2.4, 0.5)),
+        shock_positions_t0=(-0.15, 0.2),
+        shock_speeds=(-0.6, 0.9),
+        domain=Domain1D(-2.0, 2.0),
+        validate=False,
+    )
+
+
+def material_domain():
+    return PiecewiseShockSolution(
+        model=GasModel.barotropic(K=2.0 / 3.0, gamma=2.0),
+        states=(FluidState(1.0, 2.0), FluidState(2.0, 1.1)),
+        shock_positions_t0=(0.0,),
+        shock_speeds=(0.0,),
+        domain=Domain1D(-1.0, 1.0, "material"),
+        validate=False,
+    )
+
+
+def _slab_cases():
+    mov = moving_barotropic()
+    t_mid = 0.3
+    on_shock = mov.shock_position(0, t_mid)
+    yield "stationary", perturbed_example(0.1), BumpTestFunction(0.25, 0.0, 0.15, 0.3), True
+    # The shock runs through the box and out of its right edge mid-support.
+    yield "moving", mov, BumpTestFunction(t_mid, on_shock + 0.1, 0.15, 0.3), True
+    yield "two-shock", two_shock(), BumpTestFunction(0.3, 0.1, 0.2, 0.45), True
+    yield "material", material_domain(), BumpTestFunction(0.25, 0.05, 0.1, 0.3), True
+    # Unaligned: the shock crosses the box midpoint inside the only slab, so
+    # the region must be looked up per time node.
+    yield "unaligned-moving", mov, BumpTestFunction(t_mid, on_shock, 0.15, 0.3), False
+    yield "sum-of-bumps", mov, BumpSum(
+        BumpTestFunction(0.25, mov.shock_position(0, 0.25), 0.1, 0.2),
+        BumpTestFunction(0.35, mov.shock_position(0, 0.35) - 0.1, 0.12, 0.25),
+    ), True
+    yield "sum-of-bumps-two-shock", two_shock(), BumpSum(
+        BumpTestFunction(0.3, -0.1, 0.15, 0.3), BumpTestFunction(0.25, 0.25, 0.1, 0.2)
+    ), True
+
+
+SLAB_CASES = list(_slab_cases())
+
+
+class TestSlabQuadratureAgainstLoop:
+    """The per-slab tensor quadrature against a per-time-node loop oracle."""
+
+    @pytest.mark.parametrize("order,panels", [(2, 2), (4, 4), (8, 16)])
+    @pytest.mark.parametrize("name,sol,h,aligned", SLAB_CASES, ids=[c[0] for c in SLAB_CASES])
+    def test_matches_loop_oracle(self, name, sol, h, aligned, order, panels):
+        quad = SpacetimeQuadrature(order=order, panels=panels, shock_aligned=aligned)
+        K, gamma = sol.model.K, sol.model.gamma
+        comps = ("mass", "momentum", "energy")
+        laws = [baro_laws(K, gamma, s.rho, s.u) for s in sol.states]
+        # One oracle pass for all components: (U, F) per region as vectors.
+        regions = [tuple(np.array(v) for v in zip(*(law[c] for c in comps))) for law in laws]
+        refs = loop_weak_residual(
+            regions, sol.shock_positions_t0, sol.shock_speeds, h, order, panels, aligned
+        )
+        for i, comp in enumerate(comps):
+            scale = max(max(abs(U[i]), abs(F[i])) for U, F in regions)
+            assert abs(weak_residual(sol, comp, h, quad) - refs[i]) <= 1e-13 * scale
+
+    def test_unaligned_region_changes_inside_the_slab(self):
+        # Guard on the case itself: the shock really crosses the box
+        # midpoint during the support, so the two regions both contribute.
+        _, mov, bump, _ = SLAB_CASES[4]
+        t_lo, t_hi, x_lo, x_hi = bump.support()
+        centre = 0.5 * (x_lo + x_hi)
+        assert mov.region_index(t_lo, centre) != mov.region_index(t_hi, centre)
+
+
+class TestQuadratureGuards:
+    @pytest.mark.parametrize("field", ["order", "panels"])
+    @pytest.mark.parametrize("value", [0, -1, 2.7, 8.0, True, "8"])
+    def test_sizes_must_be_positive_integers(self, field, value):
+        with pytest.raises(InvalidStateError):
+            SpacetimeQuadrature(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        assert SpacetimeQuadrature(order=np.int64(4), panels=np.int32(2)).order == 4
+
+    def test_non_finite_residual_is_numerical_error(self):
+        nan_state = FluidState(1.0, float("nan"))
+        sol = PiecewiseShockSolution(
+            model=GasModel.barotropic(K=1.0, gamma=2.0),
+            states=(nan_state, nan_state),
+            shock_positions_t0=(0.0,),
+            shock_speeds=(0.0,),
+            validate=False,
+        )
+        with pytest.raises(NumericalError):
+            weak_residual(sol, "momentum", BumpTestFunction(0.25, 0.0, 0.1, 0.2))
 
 
 class TestStandardBattery:
