@@ -25,7 +25,7 @@ from .errors import (
     InvalidStateError,
     ShockAuditError,
 )
-from .fv_solver import Grid1D, field_from_solution, measure_shock, simulate
+from .fv_solver import Grid1D, entropy_density_cells, field_from_solution, measure_shock, simulate
 from .lagrangian_maps import augmented_energy_rate, calibrate_lambda, calibrated_flow_map
 from .rh import hugoniot_solve_barotropic, hugoniot_solve_full, rh_residuals, ShockJump
 from .shock1d import stationary_shock_example, volume_potential_mismatch
@@ -254,18 +254,7 @@ def _run_rh_solve(cfg: RunConfig):
     tol = cfg.tolerances["residual"]
     if "jump" in cfg.task:
         jump = cfgmod.jump_from_dict(cfg.task["jump"])
-        res = rh_residuals(jump, model)
-        # Mechanical energy is legitimately dissipated at barotropic shocks,
-        # so the audit gates only on the model's conserved components.
-        worst = res.max_abs() if model.carries_entropy else res.conserved_max_abs()
-        summary = {
-            "task": "rh-solve",
-            "mode": "audit",
-            "jump": cfgmod.jump_to_dict(jump),
-            "residuals": res.as_dict(),
-            "model": cfgmod.model_to_dict(model),
-            "audit": {"max_residual": worst, "tolerance": tol, "pass": worst <= tol},
-        }
+        summary = {"mode": "audit", "jump": cfgmod.jump_to_dict(jump)}
     else:
         left = cfgmod.state_from_dict(cfg.task["left"], "task.left")
         rho_right = float(cfg.task["rho_right"])
@@ -277,33 +266,28 @@ def _run_rh_solve(cfg: RunConfig):
             u_r, v_s = hugoniot_solve_barotropic(left, rho_right, model, branch=branch)
             right = FluidState(rho_right, u_r)
         jump = ShockJump(left=left, right=right, n=1.0, v_s=v_s)
-        res = rh_residuals(jump, model)
-        worst = res.conserved_max_abs() if not model.carries_entropy else res.max_abs()
         summary = {
-            "task": "rh-solve",
             "mode": "solve",
             "branch": branch,
             "u_right": u_r,
             "v_s": v_s,
             "left": cfgmod.state_to_dict(left),
             "right": cfgmod.state_to_dict(right),
-            "residuals": res.as_dict(),
-            "model": cfgmod.model_to_dict(model),
-            "audit": {"max_residual": worst, "tolerance": tol, "pass": worst <= tol},
         }
         if model.carries_entropy:
             summary["s_right"] = s_r
-    rows = [(k, v) for k, v in summary["residuals"].items()]
+    res = rh_residuals(jump, model)
+    # Mechanical energy is legitimately dissipated at barotropic shocks,
+    # so the audit gates only on the model's conserved components.
+    worst = res.max_abs() if model.carries_entropy else res.conserved_max_abs()
+    summary.update(
+        task="rh-solve",
+        residuals=res.as_dict(),
+        model=cfgmod.model_to_dict(model),
+        audit={"max_residual": worst, "tolerance": tol, "pass": worst <= tol},
+    )
+    rows = list(summary["residuals"].items())
     return summary, ("quantity", "value"), rows, summary["audit"]["pass"]
-
-
-def _entropy_density_cells(model, field):
-    rho = field.data[0]
-    u = field.data[1] / rho
-    eint = field.data[2] - 0.5 * rho * u ** 2
-    p = (model.gamma - 1.0) * eint
-    S = model.c_v * np.log(p / ((model.gamma - 1.0) * model.e_ref * rho ** model.gamma))
-    return rho * S
 
 
 def _run_fv(cfg: RunConfig):
@@ -353,18 +337,10 @@ def _run_fv(cfg: RunConfig):
     centers = grid.centers()
     for t, snap in result.snapshots:
         rho = snap.data[0]
-        u = snap.data[1] / rho
+        columns = [centers, rho, snap.data[1] / rho]
         if model.carries_entropy:
-            s = _entropy_density_cells(model, snap)
-            rows += [
-                (float(t), float(x), float(r), float(v), float(sv))
-                for x, r, v, sv in zip(centers, rho, u, s)
-            ]
-        else:
-            rows += [
-                (float(t), float(x), float(r), float(v))
-                for x, r, v in zip(centers, rho, u)
-            ]
+            columns.append(entropy_density_cells(model, snap.data))
+        rows += [(float(t), *cell) for cell in zip(*(col.tolist() for col in columns))]
     return summary, header, rows, summary["audit"]["pass"]
 
 
@@ -449,6 +425,11 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except ShockAuditError as exc:
         sys.stderr.write(_error_record(EXIT_NUMERICAL, "numerical", str(exc)))
+        return EXIT_NUMERICAL
+    except OverflowError as exc:
+        # Scalar float arithmetic (u**2, exp) past the double range.
+        message = f"floating-point overflow: {exc}"
+        sys.stderr.write(_error_record(EXIT_NUMERICAL, "numerical", message))
         return EXIT_NUMERICAL
 
 

@@ -11,6 +11,12 @@ units:
 Every functional here is the Legendre side of the fluid Lagrangian density
 l = 0.5 * rho * u**2 - eps(rho[, s]), so pressure and temperature can be
 cross-checked by differentiating `lagrangian_density` directly.
+
+This module also owns the conservation-law kernel shared by all three
+oracles: the conserved variables U = (rho, rho u, E), the physical flux
+F(U) = u U + p (0, 1, u), and the pressure and sound-speed closures.  The
+closures take scalars or numpy arrays alike; Python scalars go through
+`math`, arrays through numpy, so each caller keeps its own rounding.
 """
 
 from __future__ import annotations
@@ -19,7 +25,21 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import InvalidStateError, UnsupportedModelError
+
+
+def require_finite(owner: str, **values) -> None:
+    """Raise InvalidStateError naming the first non-finite value (None is skipped)."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise InvalidStateError(f"{owner} {name} must be finite, got {value}")
+
+
+def _lib(x):
+    """numpy for arrays, math for Python scalars."""
+    return np if isinstance(x, np.ndarray) else math
 
 
 class GasKind(Enum):
@@ -45,6 +65,7 @@ class GasModel:
     c_v: float = 1.0
 
     def __post_init__(self):
+        require_finite("gas model", K=self.K, gamma=self.gamma, e_ref=self.e_ref, c_v=self.c_v)
         if not self.gamma > 1.0:
             raise InvalidStateError(f"adiabatic exponent must exceed 1, got {self.gamma}")
         if self.kind is GasKind.BAROTROPIC_POLYTROPIC and not self.K > 0.0:
@@ -77,6 +98,7 @@ class FluidState:
     s: float | None = None
 
     def __post_init__(self):
+        require_finite("state", rho=self.rho, u=self.u, s=self.s)
         if not self.rho > 0.0:
             raise InvalidStateError(f"density must be positive, got {self.rho}")
 
@@ -96,13 +118,26 @@ def specific_entropy(state: FluidState) -> float:
     return state.s / state.rho
 
 
+def pressure_from(model: GasModel, rho, eps=None):
+    """Pressure closure: K rho^gamma, or (gamma - 1) eps for the ideal gas."""
+    if model.kind is GasKind.BAROTROPIC_POLYTROPIC:
+        return model.K * rho ** model.gamma
+    # p = rho**2 de/drho at fixed S = (gamma - 1) * eps(rho, s).
+    return (model.gamma - 1.0) * eps
+
+
+def sound_speed_from(model: GasModel, rho, p):
+    """c = sqrt(dp/drho at fixed specific entropy), from density and pressure."""
+    if model.kind is GasKind.BAROTROPIC_POLYTROPIC:
+        return _lib(rho).sqrt(model.K * model.gamma * rho ** (model.gamma - 1.0))
+    return _lib(p).sqrt(model.gamma * p / rho)
+
+
 def pressure(model: GasModel, state: FluidState) -> float:
     """Pressure of the state, from the closed-form equation of state."""
     require_valid(model, state)
-    if model.kind is GasKind.BAROTROPIC_POLYTROPIC:
-        return model.K * state.rho ** model.gamma
-    # Ideal gas: p = rho**2 de/drho at fixed S = (gamma - 1) * eps(rho, s).
-    return (model.gamma - 1.0) * internal_energy_density(model, state)
+    eps = internal_energy_density(model, state) if model.carries_entropy else None
+    return pressure_from(model, state.rho, eps)
 
 
 def internal_energy_density(model: GasModel, state: FluidState) -> float:
@@ -128,10 +163,29 @@ def temperature(model: GasModel, state: FluidState) -> float:
 
 def sound_speed(model: GasModel, state: FluidState) -> float:
     """c = sqrt(dp/drho at fixed specific entropy)."""
-    require_valid(model, state)
-    if model.kind is GasKind.BAROTROPIC_POLYTROPIC:
-        return math.sqrt(model.K * model.gamma * state.rho ** (model.gamma - 1.0))
-    return math.sqrt(model.gamma * pressure(model, state) / state.rho)
+    return sound_speed_from(model, state.rho, pressure(model, state))
+
+
+def conserved(model: GasModel, state: FluidState) -> tuple[float, float, float]:
+    """Conserved variables U = (rho, rho u, E) of one state.
+
+    For a barotropic model E is the mechanical energy, which shocks dissipate.
+    """
+    return (state.rho, state.rho * state.u, energy_density(model, state))
+
+
+def physical_flux(U, u, p):
+    """F = u U + p (0, 1, u) for 2 or 3 components, on scalars or arrays."""
+    F = (U[1], U[1] * u + p)
+    if len(U) == 3:
+        F += ((U[2] + p) * u,)
+    return F
+
+
+def balance_terms(model: GasModel, state: FluidState):
+    """(U, F) of the mass, momentum and energy laws for one state."""
+    U = conserved(model, state)
+    return U, physical_flux(U, state.u, pressure(model, state))
 
 
 def lagrangian_density(model: GasModel, state: FluidState) -> float:
@@ -139,11 +193,12 @@ def lagrangian_density(model: GasModel, state: FluidState) -> float:
     return 0.5 * state.rho * state.u ** 2 - internal_energy_density(model, state)
 
 
-def entropy_density_from_pressure(model: GasModel, rho: float, p: float) -> float:
-    """Invert p = (gamma - 1) e_ref rho^gamma exp(S / c_v) for s = rho * S."""
+def entropy_density_from_pressure(model: GasModel, rho, p):
+    """Invert p = (gamma - 1) e_ref rho^gamma exp(S / c_v) for s = rho * S (scalars or arrays)."""
     if not model.carries_entropy:
         raise UnsupportedModelError("barotropic models carry no entropy variable")
-    if not (rho > 0.0 and p > 0.0):
+    positive = (rho > 0.0) & (p > 0.0)
+    if not (positive.all() if isinstance(positive, np.ndarray) else positive):
         raise InvalidStateError(f"need positive rho and p, got rho={rho}, p={p}")
-    S = model.c_v * math.log(p / ((model.gamma - 1.0) * model.e_ref * rho ** model.gamma))
+    S = model.c_v * _lib(p).log(p / ((model.gamma - 1.0) * model.e_ref * rho ** model.gamma))
     return rho * S

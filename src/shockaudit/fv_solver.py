@@ -11,7 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eos import FluidState, GasModel, energy_density, entropy_density_from_pressure
+from .eos import (
+    FluidState, GasModel, energy_density, entropy_density_from_pressure, physical_flux,
+    pressure_from, sound_speed_from,
+)
 from .errors import InvalidStateError, NumericalError
 from .rh import RhResidual, ShockJump, rh_residuals
 from .shock1d import PiecewiseShockSolution
@@ -78,63 +81,48 @@ def _n_comp(model: GasModel) -> int:
     return 3 if model.carries_entropy else 2
 
 
-def _check_positivity(model: GasModel, U: np.ndarray) -> None:
+def _check_positivity(U: np.ndarray):
+    """Internal energy density of the block (None if barotropic), after checking
+    that density and internal energy are positive in every cell."""
     rho = U[0]
     bad = np.flatnonzero(rho <= 0.0)
     if bad.size:
         raise NumericalError(f"vacuum generated in cell {int(bad[0])}")
-    if U.shape[0] == 3:
-        eint = U[2] - 0.5 * U[1] ** 2 / rho
-        bad = np.flatnonzero(eint <= 0.0)
-        if bad.size:
-            raise NumericalError(f"nonpositive internal energy in cell {int(bad[0])}")
+    if U.shape[0] == 2:
+        return None
+    eint = U[2] - 0.5 * U[1] ** 2 / rho
+    bad = np.flatnonzero(eint <= 0.0)
+    if bad.size:
+        raise NumericalError(f"nonpositive internal energy in cell {int(bad[0])}")
+    return eint
 
 
 def _primitives(model: GasModel, U: np.ndarray):
-    """(rho, u, p, c) arrays for a conserved-variable block."""
+    """(u, p, c) arrays of a conserved-variable block, after the positivity check."""
     rho = U[0]
-    u = U[1] / rho
-    if U.shape[0] == 2:
-        p = model.K * rho ** model.gamma
-        c = np.sqrt(model.K * model.gamma * rho ** (model.gamma - 1.0))
-    else:
-        eint = U[2] - 0.5 * U[1] ** 2 / rho
-        p = (model.gamma - 1.0) * eint
-        c = np.sqrt(model.gamma * p / rho)
-    return rho, u, p, c
+    p = pressure_from(model, rho, _check_positivity(U))
+    return U[1] / rho, p, sound_speed_from(model, rho, p)
 
 
 def flux(model: GasModel, U) -> np.ndarray:
     """Physical flux F(U); accepts one cell (1D vector) or a block (2D)."""
     arr = np.asarray(U, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[:, None]
     if arr.shape[0] != _n_comp(model):
         raise InvalidStateError(
             f"model expects {_n_comp(model)} conserved components, got {arr.shape[0]}"
         )
-    _check_positivity(model, arr)
-    rho, u, p, _ = _primitives(model, arr)
-    out = np.empty_like(arr)
-    out[0] = arr[1]
-    out[1] = arr[1] * u + p
-    if arr.shape[0] == 3:
-        out[2] = (arr[2] + p) * u
-    return out[:, 0] if single else out
+    u, p, _ = _primitives(model, arr)
+    return np.array(physical_flux(arr, u, p))
 
 
-def max_wave_speed(model: GasModel, field: ConservedField) -> float:
-    _, u, _, c = _primitives(model, field.data)
-    return float(np.max(np.abs(u) + c))
-
-
-def _ghost(U: np.ndarray, bc: str) -> np.ndarray:
-    if bc == "outflow":
-        return np.pad(U, ((0, 0), (1, 1)), mode="edge")
-    if bc == "periodic":
-        return np.pad(U, ((0, 0), (1, 1)), mode="wrap")
-    raise InvalidStateError(f"unknown boundary condition {bc!r}")
+def _ghost(cells: np.ndarray, bc: str) -> np.ndarray:
+    """Copy of a (rows, n_cells) block with one ghost cell at each end."""
+    if bc not in ("outflow", "periodic"):
+        raise InvalidStateError(f"unknown boundary condition {bc!r}")
+    out = np.empty((cells.shape[0], cells.shape[1] + 2))
+    out[:, 1:-1] = cells
+    out[:, [0, -1]] = cells[:, [0, -1] if bc == "outflow" else [-1, 0]]
+    return out
 
 
 def step(
@@ -154,21 +142,21 @@ def step(
     if not 0.0 < cfl <= 1.0:
         raise InvalidStateError(f"cfl must lie in (0, 1], got {cfl}")
     U = field.data
-    if U.shape[0] != _n_comp(model):
+    k = U.shape[0]
+    if k != _n_comp(model):
         raise InvalidStateError("field component count does not match the model")
-    _check_positivity(model, U)
+    u, p, c = _primitives(model, U)
+    dt = min(cfl * grid.dx / float(np.max(np.abs(u) + c)), dt_max)
 
-    dt = min(cfl * grid.dx / max_wave_speed(model, field), dt_max)
-
-    Ug = _ghost(U, bc)
-    UL = Ug[:, :-1]
-    UR = Ug[:, 1:]
-    _, uL, _, cL = _primitives(model, UL)
-    _, uR, _, cR = _primitives(model, UR)
-    FL = flux(model, UL)
-    FR = flux(model, UR)
-    SL = np.minimum(uL - cL, uR - cR)
-    SR = np.maximum(uL + cL, uR + cR)
+    # Per cell: U, F(U) and the two wave speeds, ghosted once and read on
+    # both sides of every interface.
+    cells = _ghost(np.vstack((U, *physical_flux(U, u, p), u - c, u + c)), bc)
+    L = cells[:, :-1]
+    R = cells[:, 1:]
+    UL, FL = L[:k], L[k:2 * k]
+    UR, FR = R[:k], R[k:2 * k]
+    SL = np.minimum(L[2 * k], R[2 * k])
+    SR = np.maximum(L[2 * k + 1], R[2 * k + 1])
 
     span = SR - SL
     span = np.where(span == 0.0, 1.0, span)
@@ -176,7 +164,7 @@ def step(
     F = np.where(SL >= 0.0, FL, np.where(SR <= 0.0, FR, F_mid))
 
     U_new = U - dt / grid.dx * (F[:, 1:] - F[:, :-1])
-    _check_positivity(model, U_new)
+    _check_positivity(U_new)
     return ConservedField(U_new, boundary_flux=(F[:, 0].copy(), F[:, -1].copy())), dt
 
 
@@ -199,15 +187,23 @@ def field_from_solution(
     return ConservedField(U)
 
 
+def entropy_density_cells(model: GasModel, U) -> np.ndarray:
+    """Entropy density s of each cell of a full-system block, from the EOS."""
+    rho = U[0]
+    u = U[1] / rho
+    p = pressure_from(model, rho, U[2] - 0.5 * rho * u ** 2)
+    return entropy_density_from_pressure(model, rho, p)
+
+
 def state_at_cell(model: GasModel, field: ConservedField, i: int) -> FluidState:
     """FluidState sampled from cell i (entropy recovered from the EOS)."""
-    rho = float(field.data[0, i])
-    u = float(field.data[1, i] / rho)
+    # Python floats, so the state is computed with scalar arithmetic.
+    cell = field.data[:, i].tolist()
+    rho = cell[0]
+    u = cell[1] / rho
     if field.n_comp == 2:
         return FluidState(rho, u)
-    eint = float(field.data[2, i]) - 0.5 * rho * u ** 2
-    p = (model.gamma - 1.0) * eint
-    return FluidState(rho, u, entropy_density_from_pressure(model, rho, p))
+    return FluidState(rho, u, entropy_density_cells(model, cell))
 
 
 def locate_shock(

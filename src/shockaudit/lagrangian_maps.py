@@ -17,6 +17,7 @@ from typing import Callable
 
 from .eos import energy_density, pressure
 from .errors import CalibrationError, DomainError, InvalidStateError
+from .rh import jump_residual
 from .shock1d import PiecewiseShockSolution, energy_rate
 
 ReferenceDensity = Callable[[float], float]
@@ -135,11 +136,8 @@ class FlowMap1D:
         sol = self.solution
         sol.require_in_horizon(t)
         total = 0.0
-        for i, v_s in enumerate(sol.shock_speeds):
-            lam_l, lam_r = self.lambda_at_shock(t, i)
-            u_l = sol.states[i].u
-            u_r = sol.states[i + 1].u
-            total += -v_s * (lam_r - lam_l) + (lam_r * u_r - lam_l * u_l)
+        for i in range(len(sol.shock_speeds)):
+            total -= lambda_jump_defect(sol, self, i, t)
         if include_boundary and sol.domain.motion == "fixed":
             a, b = sol.endpoints(t)
             u_first = sol.states[0].u
@@ -204,10 +202,9 @@ def augmented_energy_rate(
 def lambda_jump_defect(sol: PiecewiseShockSolution, flow_map: FlowMap1D, i: int = 0, t: float = 0.0) -> float:
     """v_s [[lambda]] - [[lambda u]] . n on shock i: nonzero means lambda is not conserved."""
     lam_l, lam_r = flow_map.lambda_at_shock(t, i)
-    v_s = sol.shock_speeds[i]
     u_l = sol.states[i].u
     u_r = sol.states[i + 1].u
-    return v_s * (lam_r - lam_l) - (lam_r * u_r - lam_l * u_l)
+    return jump_residual(sol.shock_speeds[i], 1.0, lam_l, lam_r, lam_l * u_l, lam_r * u_r)
 
 
 def augmented_jump_residual(
@@ -219,14 +216,12 @@ def augmented_jump_residual(
     v_s [[E - lambda]] - [[(E + p - lambda) u]] . n, which vanishes exactly
     for calibrated lambdas.
     """
-    left = sol.states[i]
-    right = sol.states[i + 1]
-    v_s = sol.shock_speeds[i]
+    left, right = sol.states[i], sol.states[i + 1]
     lam_l, lam_r = flow_map.lambda_at_shock(t, i)
     e_l = energy_density(sol.model, left)
     e_r = energy_density(sol.model, right)
     p_l = pressure(sol.model, left)
     p_r = pressure(sol.model, right)
-    return v_s * ((e_r - lam_r) - (e_l - lam_l)) - (
-        (e_r + p_r - lam_r) * right.u - (e_l + p_l - lam_l) * left.u
-    )
+    f_l = (e_l + p_l - lam_l) * left.u
+    f_r = (e_r + p_r - lam_r) * right.u
+    return jump_residual(sol.shock_speeds[i], 1.0, e_l - lam_l, e_r - lam_r, f_l, f_r)

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from .eos import (
     FluidState,
     GasModel,
-    energy_density,
+    balance_terms,
     entropy_density_from_pressure,
     pressure,
+    pressure_from,
+    require_finite,
     require_valid,
     specific_entropy,
     temperature,
@@ -59,6 +61,10 @@ class ShockJump:
     def __post_init__(self):
         if abs(self.n) != 1.0:
             raise InvalidStateError(f"normal must be +1 or -1, got {self.n}")
+        require_finite(
+            "jump", v_s=self.v_s, sigma_left=self.sigma_left, sigma_right=self.sigma_right,
+            js_left=self.js_left, js_right=self.js_right,
+        )
 
     @property
     def has_entropy_flux(self) -> bool:
@@ -90,6 +96,11 @@ class RhResidual:
         }
 
 
+def jump_residual(v_s: float, n: float, q_l, q_r, f_l, f_r):
+    """Jump-condition residual v_s [[q]] - [[f]] n of one conservation law."""
+    return v_s * (q_r - q_l) - (f_r - f_l) * n
+
+
 def rh_residuals(jump: ShockJump, model: GasModel) -> RhResidual:
     """Evaluate all applicable jump-condition residuals for the candidate jump.
 
@@ -98,20 +109,12 @@ def rh_residuals(jump: ShockJump, model: GasModel) -> RhResidual:
     flux term only when a nonzero js is supplied.
     """
     left, right = jump.left, jump.right
-    require_valid(model, left)
-    require_valid(model, right)
     n, v_s = jump.n, jump.v_s
-
-    p_l = pressure(model, left)
-    p_r = pressure(model, right)
-    e_l = energy_density(model, left)
-    e_r = energy_density(model, right)
-
-    mass = v_s * (right.rho - left.rho) - (right.rho * right.u - left.rho * left.u) * n
-    momentum = v_s * (right.rho * right.u - left.rho * left.u) - (
-        (right.rho * right.u ** 2 + p_r) - (left.rho * left.u ** 2 + p_l)
-    ) * n
-    energy = v_s * (e_r - e_l) - ((e_r + p_r) * right.u - (e_l + p_l) * left.u) * n
+    U_l, F_l = balance_terms(model, left)
+    U_r, F_r = balance_terms(model, right)
+    mass, momentum, energy = (
+        jump_residual(v_s, n, q_l, q_r, f_l, f_r) for q_l, q_r, f_l, f_r in zip(U_l, U_r, F_l, F_r)
+    )
 
     entropy_var = 0.0
     if jump.has_entropy_flux:
@@ -124,9 +127,9 @@ def rh_residuals(jump: ShockJump, model: GasModel) -> RhResidual:
         sig_r = right.s if jump.sigma_right is None else jump.sigma_right
         q_l = left.s - sig_l
         q_r = right.s - sig_r
-        entropy_var = v_s * (q_r - q_l) - (
-            (q_r * right.u + jump.js_right) - (q_l * left.u + jump.js_left)
-        ) * n
+        entropy_var = jump_residual(
+            v_s, n, q_l, q_r, q_l * left.u + jump.js_left, q_r * right.u + jump.js_right
+        )
 
     return RhResidual(mass=mass, momentum=momentum, energy=energy, entropy_var=entropy_var)
 
@@ -191,22 +194,55 @@ def entropy_admissible(
     return _admissibility_margin(jump, model) <= tol
 
 
-def _branch_states_barotropic(left, rho_right, model):
-    """Both mass-flux branches (u_right, v_s) for a barotropic jump to rho_right."""
+def _hugoniot_root(left, rho_right, model, branch):
+    """(u_right, s_right, v_s) on the requested branch of a jump to rho_right.
+
+    Mass and momentum reduce to the mass-flux relation
+    m^2 = [[p]] / (tau_L - tau_R), whose two roots +-m are the two branches.
+    The models differ only in the downstream pressure: the barotropic EOS
+    at rho_right, or the ideal-gas internal-energy jump relation, which is
+    linear in p_R.  s_right is None for a barotropic model.
+    """
+    require_valid(model, left)
+    if not rho_right > 0.0:
+        raise InvalidStateError(f"rho_right must be positive, got {rho_right}")
+    if rho_right == left.rho:
+        raise DegenerateJumpError("rho_right equals the left density: no jump to solve")
+
     tau_l = 1.0 / left.rho
     tau_r = 1.0 / rho_right
     p_l = pressure(model, left)
-    p_r = model.K * rho_right ** model.gamma
+    if model.carries_entropy:
+        g = model.gamma
+        denom = (g + 1.0) * tau_r - (g - 1.0) * tau_l
+        numer = (g + 1.0) * tau_l - (g - 1.0) * tau_r
+        if denom <= 0.0 or numer <= 0.0:
+            raise NoShockError(
+                f"density ratio {rho_right / left.rho:.4g} has no shock for gamma={g:.4g}"
+            )
+        p_r = p_l * numer / denom
+        s_r = entropy_density_from_pressure(model, rho_right, p_r)
+    else:
+        p_r, s_r = pressure_from(model, rho_right), None
     msq = (p_r - p_l) / (tau_l - tau_r)
     if msq <= 0.0:
         raise NoShockError("no real mass flux connects the requested densities")
     m = math.sqrt(msq)
-    out = []
+
+    candidates = []
+    margins = []
     for flux in (m, -m):
         v_s = left.u - flux * tau_l
         u_r = left.u - flux * (tau_l - tau_r)
-        out.append((u_r, v_s))
-    return out
+        jump = ShockJump(left=left, right=FluidState(rho_right, u_r, s_r), n=1.0, v_s=v_s)
+        candidates.append((u_r, s_r, v_s))
+        margins.append(_admissibility_margin(jump, model))
+    order = sorted(range(2), key=margins.__getitem__)
+    if branch == "admissible":
+        return candidates[order[0]]
+    if branch == "inadmissible":
+        return candidates[order[1]]
+    raise InvalidStateError(f"unknown branch {branch!r}")
 
 
 def hugoniot_solve_barotropic(
@@ -223,26 +259,8 @@ def hugoniot_solve_barotropic(
     """
     if model.carries_entropy:
         raise InvalidStateError("hugoniot_solve_barotropic needs a barotropic model")
-    require_valid(model, left)
-    if not rho_right > 0.0:
-        raise InvalidStateError(f"rho_right must be positive, got {rho_right}")
-    if rho_right == left.rho:
-        raise DegenerateJumpError("rho_right equals the left density: no jump to solve")
-
-    candidates = _branch_states_barotropic(left, rho_right, model)
-    jumps = [
-        ShockJump(left=left, right=FluidState(rho_right, u_r), n=1.0, v_s=v_s)
-        for (u_r, v_s) in candidates
-    ]
-    margins = [_admissibility_margin(j, model) for j in jumps]
-    order = sorted(range(2), key=lambda i: margins[i])
-    if branch == "admissible":
-        pick = order[0]
-    elif branch == "inadmissible":
-        pick = order[1]
-    else:
-        raise InvalidStateError(f"unknown branch {branch!r}")
-    return candidates[pick]
+    u_r, _, v_s = _hugoniot_root(left, rho_right, model, branch)
+    return u_r, v_s
 
 
 def hugoniot_solve_full(
@@ -260,47 +278,7 @@ def hugoniot_solve_full(
     """
     if not model.carries_entropy:
         raise InvalidStateError("hugoniot_solve_full needs an entropy-carrying model")
-    require_valid(model, left)
-    if not rho_right > 0.0:
-        raise InvalidStateError(f"rho_right must be positive, got {rho_right}")
-    if rho_right == left.rho:
-        raise DegenerateJumpError("rho_right equals the left density: no jump to solve")
-
-    g = model.gamma
-    tau_l = 1.0 / left.rho
-    tau_r = 1.0 / rho_right
-    p_l = pressure(model, left)
-    denom = (g + 1.0) * tau_r - (g - 1.0) * tau_l
-    numer = (g + 1.0) * tau_l - (g - 1.0) * tau_r
-    if denom <= 0.0 or numer <= 0.0:
-        raise NoShockError(
-            f"density ratio {rho_right / left.rho:.4g} has no shock for gamma={g:.4g}"
-        )
-    p_r = p_l * numer / denom
-    msq = (p_r - p_l) / (tau_l - tau_r)
-    if msq <= 0.0:
-        raise NoShockError("no real mass flux connects the requested densities")
-    m = math.sqrt(msq)
-    s_r = entropy_density_from_pressure(model, rho_right, p_r)
-
-    candidates = []
-    jumps = []
-    for flux in (m, -m):
-        v_s = left.u - flux * tau_l
-        u_r = left.u - flux * (tau_l - tau_r)
-        candidates.append((u_r, s_r, v_s))
-        jumps.append(
-            ShockJump(left=left, right=FluidState(rho_right, u_r, s_r), n=1.0, v_s=v_s)
-        )
-    margins = [_admissibility_margin(j, model) for j in jumps]
-    order = sorted(range(2), key=lambda i: margins[i])
-    if branch == "admissible":
-        pick = order[0]
-    elif branch == "inadmissible":
-        pick = order[1]
-    else:
-        raise InvalidStateError(f"unknown branch {branch!r}")
-    return candidates[pick]
+    return _hugoniot_root(left, rho_right, model, branch)
 
 
 def fourier_entropy_flux(

@@ -10,11 +10,11 @@ Gauss quadrature evaluates the residual to near machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eos import energy_density, pressure
+from .eos import balance_terms
 from .errors import DomainError, InvalidStateError, NumericalError
 from .shock1d import PiecewiseShockSolution, evaluate
 
@@ -94,6 +94,7 @@ class SpacetimeQuadrature:
     order: int = 8
     panels: int = 16
     shock_aligned: bool = True
+    _gauss: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("order", "panels"):
@@ -102,7 +103,10 @@ class SpacetimeQuadrature:
                 raise InvalidStateError(f"quadrature {name} must be a positive integer, got {value!r}")
 
     def nodes(self):
-        return np.polynomial.legendre.leggauss(self.order)
+        """Gauss-Legendre (nodes, weights) on [-1, 1], computed on first use and kept."""
+        if self._gauss is None:
+            object.__setattr__(self, "_gauss", np.polynomial.legendre.leggauss(self.order))
+        return self._gauss
 
 
 def _panel_nodes(lo, hi, panels, base_nodes, base_weights):
@@ -129,17 +133,9 @@ def _component_values(sol, component):
     """Per-region (U, F) constants for the requested conservation law."""
     if component not in COMPONENTS:
         raise InvalidStateError(f"unknown component {component!r}")
-    out = []
-    for state in sol.states:
-        p = pressure(sol.model, state)
-        if component == "mass":
-            out.append((state.rho, state.rho * state.u))
-        elif component == "momentum":
-            out.append((state.rho * state.u, state.rho * state.u ** 2 + p))
-        else:
-            e = energy_density(sol.model, state)
-            out.append((e, (e + p) * state.u))
-    return out
+    k = COMPONENTS.index(component)
+    terms = [balance_terms(sol.model, state) for state in sol.states]
+    return [(U[k], F[k]) for U, F in terms]
 
 
 def _require_support_inside(sol, box):

@@ -171,6 +171,14 @@ def baro_laws(K, gamma, rho, u):
     return {"mass": (rho, rho * u), "momentum": (rho * u, rho * u ** 2 + p), "energy": (E, (E + p) * u)}
 
 
+def ideal_laws(gamma, e_ref, c_v, rho, u, s):
+    """{component: (U, F)} of the full Euler system for one constant state."""
+    S = s / rho
+    p = ideal_pressure(e_ref, c_v, gamma, rho, S)
+    E = 0.5 * rho * u ** 2 + rho * ideal_specific_energy(e_ref, c_v, gamma, rho, S)
+    return {"mass": (rho, rho * u), "momentum": (rho * u, rho * u ** 2 + p), "energy": (E, (E + p) * u)}
+
+
 def graded_gauss(a, b, order, panels):
     """Composite Gauss rule on [a, b], panels graded as (1 - cos(pi k / panels)) / 2."""
     g, w = np.polynomial.legendre.leggauss(order)

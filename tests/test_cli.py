@@ -116,6 +116,35 @@ class TestRhSolve:
         assert code == 4
 
 
+    def test_overflow_is_numerical_error(self, tmp_path, capsys):
+        # u**2 overflows a double inside the admissibility check.
+        argv = ["--out-dir", str(tmp_path / "out"), "rh-solve", "--left", "1,1e200", "--rho-right", "2"]
+        assert main(argv) == 4
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["kind"] == "numerical"
+        assert "overflow" in record["error"]["message"]
+
+    @pytest.mark.parametrize("flags", [["--gamma", "inf"], ["--K", "nan"], ["--left", "1,inf"]])
+    def test_non_finite_flags_are_validation_errors(self, tmp_path, capsys, flags):
+        argv = ["--out-dir", str(tmp_path / "out"), "rh-solve", "--left", "1,2", "--rho-right", "2"]
+        assert main(argv + flags) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "validation"
+
+    def test_non_finite_jump_audit_is_validation_error(self, tmp_path, capsys):
+        cfg = {
+            "model": {"kind": "barotropic_polytropic", "K": 1.0, "gamma": 2.0},
+            "task": {
+                "name": "rh-solve",
+                "jump": {"left": {"rho": 1.0, "u": float("nan")}, "right": {"rho": 2.0, "u": 1.0}},
+            },
+            "output": {"dir": str(tmp_path / "out")},
+        }
+        assert main(["--config", write_config(tmp_path, cfg)]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["kind"] == "validation"
+        assert "finite" in record["error"]["message"]
+
+
 class TestConfigErrors:
     def test_missing_model_is_validation_error(self, tmp_path):
         cfg = {"task": {"name": "rh-solve", "left": {"rho": 1.0, "u": 2.0}, "rho_right": 2.0}}
@@ -282,15 +311,24 @@ class TestWeakVerify:
         assert main(["--config", write_config(tmp_path, cfg), "--seed", "-2"]) == 3
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "validation"
 
-    def test_non_finite_residual_is_numerical_error(self, tmp_path, capsys):
-        # NaN states slip through the jump-condition check (NaN > tol is
-        # false); the weak residual must refuse them with status 4.
+    def test_non_finite_state_is_validation_error(self, tmp_path, capsys):
+        # A NaN state is refused where it enters (FluidState), before any
+        # residual is computed.
         nan_state = {"rho": 1.0, "u": float("nan")}
         cfg = self.base_config(tmp_path, [nan_state, nan_state])
         cfg["task"]["components"] = ["momentum"]
+        assert main(["--config", write_config(tmp_path, cfg)]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["kind"] == "validation"
+
+    def test_overflow_is_numerical_error(self, tmp_path, capsys):
+        # u = 1e200 is finite, but u**2 overflows a double inside the
+        # jump-condition check; that is a numerical failure, not a traceback.
+        cfg = self.base_config(tmp_path, [{"rho": 1.0, "u": 1e200}, {"rho": 2.0, "u": 1e200}])
         assert main(["--config", write_config(tmp_path, cfg)]) == 4
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["kind"] == "numerical"
+        assert "overflow" in record["error"]["message"]
 
 
 class TestRoundTrips:

@@ -3,15 +3,22 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from shockaudit.eos import (
     FluidState,
+    GasKind,
     GasModel,
+    balance_terms,
+    conserved,
     energy_density,
     entropy_density_from_pressure,
     internal_energy_density,
     lagrangian_density,
+    physical_flux,
     pressure,
+    pressure_from,
     sound_speed,
+    sound_speed_from,
     temperature,
 )
 from shockaudit.errors import InvalidStateError, UnsupportedModelError
@@ -222,3 +229,107 @@ class TestEntropyInversion:
         state = FluidState(1.7, 0.0, 0.6)
         p = pressure(IDEAL, state)
         assert entropy_density_from_pressure(IDEAL, 1.7, p) == pytest.approx(0.6, abs=1e-12)
+
+    def test_array_inversion_matches_scalar(self):
+        rho = np.array([0.4, 1.0, 2.5])
+        s_true = np.array([-0.3, 0.0, 1.2])
+        p = np.array([pressure(IDEAL, FluidState(r, 0.0, sv)) for r, sv in zip(rho, s_true)])
+        got = entropy_density_from_pressure(IDEAL, rho, p)
+        assert isinstance(got, np.ndarray)
+        for k in range(3):
+            scalar = entropy_density_from_pressure(IDEAL, float(rho[k]), float(p[k]))
+            assert got[k] == pytest.approx(scalar, rel=1e-14, abs=1e-15)
+            assert got[k] == pytest.approx(s_true[k], abs=1e-12)
+
+    @pytest.mark.parametrize("rho, p", [(np.array([1.0, 0.0]), np.array([1.0, 1.0])),
+                                        (np.array([1.0, 1.0]), np.array([1.0, -2.0]))])
+    def test_array_inversion_rejects_nonpositive_cells(self, rho, p):
+        with pytest.raises(InvalidStateError):
+            entropy_density_from_pressure(IDEAL, rho, p)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("name", ["rho", "u", "s"])
+    def test_state_rejects_non_finite_fields(self, name, bad):
+        fields = {"rho": 1.0, "u": 0.0, "s": 0.0}
+        fields[name] = bad
+        with pytest.raises(InvalidStateError):
+            FluidState(**fields)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("name", ["K", "gamma", "e_ref", "c_v"])
+    @pytest.mark.parametrize("kind", list(GasKind))
+    def test_model_rejects_non_finite_parameters(self, kind, name, bad):
+        with pytest.raises(InvalidStateError):
+            GasModel(kind, **{name: bad})
+
+
+def _sample_states(rng, model, n):
+    for _ in range(n):
+        rho, u = rng.uniform(0.1, 5.0), rng.uniform(-3.0, 3.0)
+        yield FluidState(rho, u, rho * rng.uniform(-1.0, 1.0) if model.carries_entropy else None)
+
+
+def _oracle_laws(model, state):
+    if model.carries_entropy:
+        return oracles.ideal_laws(model.gamma, model.e_ref, model.c_v, state.rho, state.u, state.s)
+    return oracles.baro_laws(model.K, model.gamma, state.rho, state.u)
+
+
+KERNEL_MODELS = [
+    GasModel.barotropic(K=0.7, gamma=1.8),
+    GasModel.ideal_gas(gamma=1.4, e_ref=0.9, c_v=1.3),
+]
+
+
+class TestConservationKernel:
+    @pytest.mark.parametrize("model", KERNEL_MODELS, ids=lambda m: m.kind.value)
+    def test_scalar_flux_matches_oracle(self, model):
+        rng = np.random.default_rng(31)
+        for state in _sample_states(rng, model, 100):
+            U = conserved(model, state)
+            F = physical_flux(U, state.u, pressure(model, state))
+            laws = _oracle_laws(model, state)
+            for k, name in enumerate(("mass", "momentum", "energy")):
+                U_o, F_o = laws[name]
+                assert U[k] == pytest.approx(U_o, rel=1e-14)
+                assert F[k] == pytest.approx(F_o, rel=1e-14, abs=1e-14)
+            assert balance_terms(model, state) == (U, F)
+
+    @pytest.mark.parametrize("model", KERNEL_MODELS, ids=lambda m: m.kind.value)
+    def test_array_flux_matches_oracle(self, model):
+        rng = np.random.default_rng(32)
+        states = list(_sample_states(rng, model, 50))
+        rho = np.array([st.rho for st in states])
+        u = np.array([st.u for st in states])
+        U = np.array([conserved(model, st) for st in states]).T
+        eps = U[2] - 0.5 * U[1] ** 2 / rho if model.carries_entropy else None
+        p = pressure_from(model, rho, eps)
+        F = physical_flux(U, u, p)
+        assert all(isinstance(f, np.ndarray) and f.shape == (50,) for f in F)
+        for i, st in enumerate(states):
+            laws = _oracle_laws(model, st)
+            for k, name in enumerate(("mass", "momentum", "energy")):
+                assert F[k][i] == pytest.approx(laws[name][1], rel=1e-13, abs=1e-13)
+
+    def test_barotropic_flux_has_two_components_for_two_rows(self):
+        F = physical_flux((1.0, 2.0), 2.0, 0.5)
+        assert F == (2.0, 4.5)
+
+    @pytest.mark.parametrize("model", KERNEL_MODELS, ids=lambda m: m.kind.value)
+    def test_closures_agree_on_scalars_and_arrays(self, model):
+        rng = np.random.default_rng(33)
+        states = list(_sample_states(rng, model, 40))
+        rho = np.array([st.rho for st in states])
+        eps = np.array([internal_energy_density(model, st) for st in states])
+        p = pressure_from(model, rho, eps if model.carries_entropy else None)
+        c = sound_speed_from(model, rho, p)
+        for i, st in enumerate(states):
+            assert p[i] == pytest.approx(pressure(model, st), rel=1e-14)
+            assert c[i] == pytest.approx(sound_speed(model, st), rel=1e-14)
+        assert type(pressure(model, states[0])) is float
+        assert type(sound_speed(model, states[0])) is float

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from shockaudit.eos import FluidState, GasModel, energy_density, pressure
+from shockaudit.eos import FluidState, GasModel, balance_terms, conserved, energy_density, pressure
 from shockaudit.errors import InvalidStateError, NumericalError
 from shockaudit.fv_solver import (
     ConservedField,
     Grid1D,
+    entropy_density_cells,
     field_from_solution,
     flux,
     locate_shock,
@@ -101,6 +102,92 @@ class TestStep:
         result = simulate(sol.model, grid, field_from_solution(sol.model, grid, sol), 0.5)
         _, position = locate_shock(grid, result.field)
         assert abs(position) < 2.0 * grid.dx
+
+
+def random_block(model, n, seed):
+    """(n_comp, n) conserved block of random states, and the states."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(n):
+        rho, u = rng.uniform(0.2, 3.0), rng.uniform(-2.0, 2.0)
+        states.append(FluidState(rho, u, rho * rng.uniform(-0.5, 0.5) if model.carries_entropy else None))
+    k = 3 if model.carries_entropy else 2
+    return np.array([conserved(model, st)[:k] for st in states]).T, states
+
+
+def loop_hll_step(model, grid, U, cfl, bc):
+    """One HLL update written per interface, with its own EOS formulas."""
+    n = U.shape[1]
+
+    def cell(i):
+        i = min(max(i, 0), n - 1) if bc == "outflow" else i % n
+        rho, m = U[0, i], U[1, i]
+        u = m / rho
+        if U.shape[0] == 2:
+            p = model.K * rho ** model.gamma
+            F = np.array([m, m * u + p])
+        else:
+            p = (model.gamma - 1.0) * (U[2, i] - 0.5 * m * m / rho)
+            F = np.array([m, m * u + p, (U[2, i] + p) * u])
+        return U[:, i], F, u, math.sqrt(model.gamma * p / rho)
+
+    speeds = [abs(cell(i)[2]) + cell(i)[3] for i in range(n)]
+    dt = cfl * grid.dx / max(speeds)
+    fluxes = []
+    for j in range(n + 1):
+        Ul, Fl, ul, cl = cell(j - 1)
+        Ur, Fr, ur, cr = cell(j)
+        sl, sr = min(ul - cl, ur - cr), max(ul + cl, ur + cr)
+        if sl >= 0.0:
+            fluxes.append(Fl)
+        elif sr <= 0.0:
+            fluxes.append(Fr)
+        else:
+            fluxes.append((sr * Fl - sl * Fr + sl * sr * (Ur - Ul)) / (sr - sl))
+    return np.array([U[:, i] - dt / grid.dx * (fluxes[i + 1] - fluxes[i]) for i in range(n)]).T, dt
+
+
+class TestKernelAgreement:
+    @pytest.mark.parametrize("model", [GAMMA2, IDEAL], ids=["barotropic", "ideal"])
+    def test_flux_matches_balance_terms_per_cell(self, model):
+        U, states = random_block(model, 40, seed=5)
+        F = flux(model, U)
+        for i, state in enumerate(states):
+            _, F_state = balance_terms(model, state)
+            np.testing.assert_allclose(F[:, i], F_state[: U.shape[0]], rtol=1e-14, atol=1e-14)
+
+    def test_entropy_cells_match_state_at_cell(self):
+        U, states = random_block(IDEAL, 40, seed=6)
+        fld = ConservedField(U)
+        s = entropy_density_cells(IDEAL, U)
+        for i, state in enumerate(states):
+            # The array path uses numpy's pow/log, the cell path libm's: equal
+            # to roundoff, not necessarily bit for bit.
+            assert s[i] == pytest.approx(state_at_cell(IDEAL, fld, i).s, rel=1e-14, abs=1e-14)
+            assert s[i] == pytest.approx(state.s, abs=1e-12)
+
+    @pytest.mark.parametrize("bc", ["outflow", "periodic"])
+    @pytest.mark.parametrize("model", [GAMMA2, IDEAL], ids=["barotropic", "ideal"])
+    def test_step_matches_per_interface_loop(self, model, bc):
+        grid = Grid1D(0.0, 1.0, 24)
+        U, _ = random_block(model, 24, seed=7)
+        fld, dt = step(model, grid, ConservedField(U), cfl=0.4, bc=bc)
+        expected, dt_loop = loop_hll_step(model, grid, U, 0.4, bc)
+        assert dt == pytest.approx(dt_loop, rel=1e-14)
+        np.testing.assert_allclose(fld.data, expected, rtol=1e-13, atol=1e-13)
+
+    def test_vacuum_reported_at_its_cell_under_periodic_bc(self):
+        grid = Grid1D(0.0, 1.0, 8)
+        U = np.tile(np.array([[1.0], [0.0]]), (1, 8))
+        U[0, 7] = -1.0
+        with pytest.raises(NumericalError, match="cell 7"):
+            step(GAMMA2, grid, ConservedField(U), bc="periodic")
+
+    def test_unknown_boundary_condition_rejected(self):
+        grid = Grid1D(0.0, 1.0, 8)
+        U = np.tile(np.array([[1.0], [0.0]]), (1, 8))
+        with pytest.raises(InvalidStateError):
+            step(GAMMA2, grid, ConservedField(U), bc="reflecting")
 
 
 class TestFieldFromSolution:

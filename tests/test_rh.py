@@ -86,6 +86,12 @@ class TestResiduals:
         with pytest.raises(InvalidStateError):
             ShockJump(left=LEFT, right=RIGHT, n=0.5, v_s=0.0)
 
+    @pytest.mark.parametrize("name", ["v_s", "sigma_left", "sigma_right", "js_left", "js_right"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_jump_data_rejected(self, name, bad):
+        with pytest.raises(InvalidStateError):
+            ShockJump(left=LEFT, right=RIGHT, **{name: bad})
+
 
 class TestNormalFlip:
     def test_flip_preserves_residuals(self):
@@ -281,6 +287,53 @@ class TestFullSolver:
             flux = left.rho * (left.u - v_s)
             upstream, downstream = (left, right) if flux > 0 else (right, left)
             assert specific_entropy(downstream) >= specific_entropy(upstream) - 1e-12
+
+
+SOLVERS = {
+    "barotropic": (hugoniot_solve_barotropic, GAMMA2, LEFT, IDEAL),
+    "full": (hugoniot_solve_full, IDEAL, FluidState(1.0, 0.0, math.log(1.0 / 0.4)), GAMMA2),
+}
+
+
+@pytest.mark.parametrize("solver, model, left, other_model", SOLVERS.values(), ids=list(SOLVERS))
+class TestSolverGuards:
+    """Both public wrappers of the shared mass-flux root keep every guard."""
+
+    def test_wrong_model_kind(self, solver, model, left, other_model):
+        other_left = FluidState(1.0, 0.0, None if other_model is GAMMA2 else 0.0)
+        with pytest.raises(InvalidStateError):
+            solver(other_left, 2.0, other_model)
+
+    @pytest.mark.parametrize("rho_right", [0.0, -1.0, math.nan])
+    def test_nonpositive_rho_right(self, solver, model, left, other_model, rho_right):
+        with pytest.raises(InvalidStateError):
+            solver(left, rho_right, model)
+
+    def test_unknown_branch(self, solver, model, left, other_model):
+        with pytest.raises(InvalidStateError):
+            solver(left, 2.0 * left.rho, model, branch="physical")
+
+    def test_degenerate_density(self, solver, model, left, other_model):
+        with pytest.raises(DegenerateJumpError):
+            solver(left, left.rho, model)
+
+    def test_state_must_match_model(self, solver, model, left, other_model):
+        mismatched = FluidState(left.rho, left.u, None if left.s is not None else 0.0)
+        with pytest.raises(InvalidStateError):
+            solver(mismatched, 2.0 * left.rho, model)
+
+    def test_branches_are_distinct_roots(self, solver, model, left, other_model):
+        adm = solver(left, 2.0 * left.rho, model, branch="admissible")
+        inadm = solver(left, 2.0 * left.rho, model, branch="inadmissible")
+        assert adm[0] != inadm[0] and adm[-1] != inadm[-1]
+
+
+@pytest.mark.parametrize("ratio", [6.5, 100.0])
+def test_full_solver_no_shock_ratio(ratio):
+    # (gamma + 1) / (gamma - 1) = 6 at gamma = 1.4: no shock beyond it.
+    left = FluidState(1.0, 0.0, 0.0)
+    with pytest.raises(NoShockError):
+        hugoniot_solve_full(left, ratio, IDEAL)
 
 
 class TestAdmissibility:
