@@ -25,7 +25,7 @@ from .lagrangian_maps import (
     calibrate_lambda,
     calibrated_flow_map,
 )
-from .weakcheck import BumpTestFunction, SpacetimeQuadrature, weak_residual
+from .weakcheck import BumpTestFunction, SpacetimeQuadrature, weak_residual, weak_residuals
 
 __version__ = "0.1.0"
 
@@ -54,5 +54,6 @@ __all__ = [
     "BumpTestFunction",
     "SpacetimeQuadrature",
     "weak_residual",
+    "weak_residuals",
     "__version__",
 ]

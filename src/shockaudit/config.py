@@ -47,18 +47,44 @@ def _check_keys(block: dict, allowed, required, where: str) -> None:
         raise ConfigError(f"missing keys {missing} in {where}")
 
 
+def _require_int(task: dict, key: str, minimum: int) -> None:
+    """task[key], when given, must be an integer (not a bool) of at least minimum."""
+    value = task.get(key, minimum)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"task.{key} must be an integer >= {minimum}, got {value!r}")
+
+
+def _is_real(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def _validate_weak_task(task: dict) -> None:
     """Quadrature sizes and the bump battery must make a non-vacuous audit."""
     for key in ("order", "panels", "count"):
-        value = task.get(key, 1)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"task.{key} must be a positive integer, got {value!r}")
+        _require_int(task, key, 1)
     for key in ("components", "bumps"):
         if key in task and not (isinstance(task[key], list) and task[key]):
             raise ConfigError(f"task.{key} must be a non-empty list")
     keys = {"t0", "x0", "rt", "rx"}
     for i, bump in enumerate(task.get("bumps", [])):
         _check_keys(bump, keys, keys, f"task.bumps[{i}]")
+
+
+def _validate_fv_task(task: dict) -> None:
+    """Grid size, run length and sampling must be usable as given, never truncated."""
+    _require_int(task, "n_cells", 4)
+    _require_int(task, "snapshots", 0)
+    _require_int(task, "k_sample", 1)
+    t_final = task.get("t_final", 0.5)
+    if not (_is_real(t_final) and t_final > 0.0):
+        raise ConfigError(f"task.t_final must be a finite number > 0, got {t_final!r}")
+    cfl = task.get("cfl", 0.45)
+    if not (_is_real(cfl) and 0.0 < cfl <= 1.0):
+        raise ConfigError(f"task.cfl must be a finite number in (0, 1], got {cfl!r}")
+    if not isinstance(task.get("track_shock", True), bool):
+        raise ConfigError(f"task.track_shock must be true or false, got {task['track_shock']!r}")
+    if task.get("bc", "outflow") not in ("outflow", "periodic"):
+        raise ConfigError(f"task.bc must be 'outflow' or 'periodic', got {task['bc']!r}")
 
 
 def model_to_dict(model: GasModel) -> dict:
@@ -201,15 +227,16 @@ def validate_config(raw: dict) -> RunConfig:
     _check_keys(task_block, _TASK_KEYS[name], {"name"}, "task")
     if name == "weak-verify":
         _validate_weak_task(task_block)
+    elif name == "fv-run":
+        _validate_fv_task(task_block)
 
     tolerances = dict(TOLERANCE_DEFAULTS)
     if "tolerances" in raw:
         _check_keys(raw["tolerances"], set(TOLERANCE_DEFAULTS), set(), "tolerances")
         for key, val in raw["tolerances"].items():
-            val = float(val)
-            if not val > 0.0:
-                raise ConfigError(f"tolerance {key!r} must be positive, got {val}")
-            tolerances[key] = val
+            if not (_is_real(val) and val > 0.0):
+                raise ConfigError(f"tolerance {key!r} must be a finite number > 0, got {val!r}")
+            tolerances[key] = float(val)
 
     output = {"dir": "out", "formats": ["json", "csv"]}
     if "output" in raw:

@@ -12,6 +12,7 @@ whose energy decays at rate 1/3).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .eos import (
@@ -216,7 +217,11 @@ def _hugoniot_root(left, rho_right, model, branch):
         g = model.gamma
         denom = (g + 1.0) * tau_r - (g - 1.0) * tau_l
         numer = (g + 1.0) * tau_l - (g - 1.0) * tau_r
-        if denom <= 0.0 or numer <= 0.0:
+        # Both differences cancel terms of size up to (g + 1)(tau_l + tau_r);
+        # within a few roundoffs of that the limiting density ratio is reached
+        # and the sign, hence the shock, is not determined.
+        floor = 8.0 * sys.float_info.epsilon * (g + 1.0) * (tau_l + tau_r)
+        if denom <= floor or numer <= floor:
             raise NoShockError(
                 f"density ratio {rho_right / left.rho:.4g} has no shock for gamma={g:.4g}"
             )

@@ -129,13 +129,15 @@ def _panel_nodes(lo, hi, panels, base_nodes, base_weights):
     return xs, ws
 
 
-def _component_values(sol, component):
-    """Per-region (U, F) constants for the requested conservation law."""
-    if component not in COMPONENTS:
-        raise InvalidStateError(f"unknown component {component!r}")
-    k = COMPONENTS.index(component)
+def _component_values(sol, components):
+    """Per-region (U, F) constants of each requested law, shape (laws, regions, 2)."""
+    for component in components:
+        if component not in COMPONENTS:
+            raise InvalidStateError(f"unknown component {component!r}")
     terms = [balance_terms(sol.model, state) for state in sol.states]
-    return [(U[k], F[k]) for U, F in terms]
+    return np.array(
+        [[(U[k], F[k]) for U, F in terms] for k in map(COMPONENTS.index, components)]
+    )
 
 
 def _require_support_inside(sol, box):
@@ -164,34 +166,36 @@ def _time_cuts(sol, box, shock_aligned):
     return sorted(cuts)
 
 
-def weak_residual(
+def weak_residuals(
     sol: PiecewiseShockSolution,
-    component: str,
+    components,
     h,
     quad: SpacetimeQuadrature = SpacetimeQuadrature(),
-) -> float:
-    """Spacetime residual of one conservation law against the test function h.
+) -> list[float]:
+    """Spacetime residuals of the requested conservation laws against the test function h.
 
     h needs dt/dx methods and a support() box (BumpTestFunction or any
     linear combination with the same surface).  dt and dx receive
     broadcastable arrays, t of shape (nt, 1) and x of shape (nt, nx), and
-    must return values broadcastable to (nt, nx).  The result is zero up to
+    must return values broadcastable to (nt, nx).  A residual is zero up to
     quadrature error iff the candidate satisfies both the bulk equation and
-    the jump condition of the chosen component wherever h is supported.
+    the jump condition of its component wherever h is supported.
 
     Between consecutive time cuts the shocks inside the box are fixed, so
     every sub-region's x-breakpoints are linear in t and each (time slab,
-    sub-region) pair is one (nt, nx) tensor evaluation of h.
+    sub-region) pair is one (nt, nx) tensor evaluation of h.  Only the
+    per-region constants (U, F) depend on the law, so the space integrals of
+    h_t and h_x are formed once and shared by every component.
     """
     box = h.support()
     _require_support_inside(sol, box)
-    consts = np.array(_component_values(sol, component))
+    consts = _component_values(sol, components)
     base_nodes, base_weights = quad.nodes()
     t_lo, t_hi, x_lo, x_hi = box
     x0 = np.array(sol.shock_positions_t0)
     speeds = np.array(sol.shock_speeds)
 
-    total = 0.0
+    totals = [0.0] * len(consts)
     cuts = _time_cuts(sol, box, quad.shock_aligned)
     for ta, tb in zip(cuts, cuts[1:]):
         ts, wts = _panel_nodes(ta, tb, quad.panels, base_nodes, base_weights)
@@ -201,19 +205,34 @@ def weak_residual(
             at_mid = x0 + speeds * (0.5 * (ta + tb))
             breaks += list(shock_xs[(x_lo < at_mid) & (at_mid < x_hi)])
         breaks.append(np.full_like(ts, x_hi))
-        acc = np.zeros_like(ts)
+        accs = [np.zeros_like(ts) for _ in consts]
         for lo, hi in zip(breaks, breaks[1:]):
             # Region per time node: without shock alignment a moving shock
             # can cross the sub-interval midpoint inside the slab.
             region = np.count_nonzero(shock_xs < 0.5 * (lo + hi), axis=0)
-            U, F = consts[region].T
             xs, wxs = _panel_nodes(lo, hi, quad.panels, base_nodes, base_weights)
-            acc += U * (wxs * h.dt(ts[:, None], xs)).sum(axis=1)
-            acc += F * (wxs * h.dx(ts[:, None], xs)).sum(axis=1)
-        total += float(np.dot(wts, acc))
-    if not math.isfinite(total):
-        raise NumericalError(f"non-finite {component} weak residual {total}")
-    return total
+            a = (wxs * h.dt(ts[:, None], xs)).sum(axis=1)
+            b = (wxs * h.dx(ts[:, None], xs)).sum(axis=1)
+            for acc, law in zip(accs, consts):
+                U, F = law[region].T
+                acc += U * a
+                acc += F * b
+        for m, acc in enumerate(accs):
+            totals[m] += float(np.dot(wts, acc))
+    for component, total in zip(components, totals):
+        if not math.isfinite(total):
+            raise NumericalError(f"non-finite {component} weak residual {total}")
+    return totals
+
+
+def weak_residual(
+    sol: PiecewiseShockSolution,
+    component: str,
+    h,
+    quad: SpacetimeQuadrature = SpacetimeQuadrature(),
+) -> float:
+    """Spacetime residual of one conservation law against h (see weak_residuals)."""
+    return weak_residuals(sol, (component,), h, quad)[0]
 
 
 def standard_battery(

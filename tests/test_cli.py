@@ -16,10 +16,11 @@ from shockaudit.config import (
     solution_from_dict,
     solution_to_dict,
 )
-from shockaudit.eos import GasModel
+from shockaudit.eos import FluidState, GasModel
 from shockaudit.errors import ConfigError
-from shockaudit.rh import ShockJump
+from shockaudit.rh import ShockJump, hugoniot_solve_full
 from shockaudit.shock1d import stationary_shock_example
+from shockaudit.weakcheck import SpacetimeQuadrature, standard_battery, weak_residual
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -115,6 +116,16 @@ class TestRhSolve:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("rho_right", ["6", str(1.0 / 6.0)])
+    def test_limiting_density_ratio_has_no_shock(self, tmp_path, capsys, rho_right):
+        # (gamma + 1) / (gamma - 1) = 6 at gamma = 1.4, compression or expansion.
+        argv = [
+            "--out-dir", str(tmp_path / "out"), "rh-solve", "--kind", "ideal_gas_entropy",
+            "--gamma", "1.4", "--left", "1,0,0", "--rho-right", rho_right,
+        ]
+        assert main(argv) == 4
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "numerical"
+        assert not (tmp_path / "out").exists()
 
     def test_overflow_is_numerical_error(self, tmp_path, capsys):
         # u**2 overflows a double inside the admissibility check.
@@ -224,9 +235,6 @@ class TestFvRun:
 
     def test_full_model_adds_entropy_column(self, tmp_path):
         s0 = math.log(1.0 / 0.4)
-        from shockaudit.eos import FluidState, GasModel
-        from shockaudit.rh import hugoniot_solve_full
-
         model = GasModel.ideal_gas(gamma=1.4)
         u_r, s_r, v_s = hugoniot_solve_full(FluidState(1.0, 0.0, s0), 2.0, model)
         cfg = {
@@ -245,6 +253,73 @@ class TestFvRun:
         assert lines[0] == "t,x,rho,u,s"
         first = lines[1].split(",")
         assert float(first[4]) == pytest.approx(s0, rel=1e-6)
+
+
+class TestFvRunValidation:
+    def config(self, tmp_path, task=None, tolerances=None):
+        cfg = {
+            "model": {"kind": "barotropic_polytropic", "K": 2.0 / 3.0, "gamma": 2.0},
+            "solution": {
+                "states": [{"rho": 1.0, "u": 2.0}, {"rho": 2.0, "u": 1.0}],
+                "shock_positions": [0.0],
+                "shock_speeds": [0.0],
+            },
+            "task": {"name": "fv-run", "n_cells": 40, "t_final": 0.05, **(task or {})},
+            "output": {"dir": str(tmp_path / "out")},
+        }
+        if tolerances is not None:
+            cfg["tolerances"] = tolerances
+        return cfg
+
+    @pytest.mark.parametrize(
+        "task",
+        [
+            # JSON 1e400 parses to inf, which int() cannot convert.
+            {"n_cells": float("inf")},
+            {"n_cells": 400.7},
+            {"n_cells": 40.0},
+            {"n_cells": 3},
+            {"n_cells": True},
+            # A NaN run length used to take 0 steps and pass.
+            {"t_final": float("nan")},
+            {"t_final": float("inf")},
+            {"t_final": 0.0},
+            {"t_final": -0.1},
+            {"t_final": "0.1"},
+            {"cfl": 0.0},
+            {"cfl": 1.5},
+            {"cfl": float("nan")},
+            {"snapshots": -2},
+            {"snapshots": 2.5},
+            {"k_sample": 0},
+            {"k_sample": 2.0},
+            {"track_shock": "yes"},
+            {"track_shock": 1},
+            {"bc": "reflective"},
+        ],
+        ids=lambda task: "-".join(f"{k}={v!r}" for k, v in task.items()),
+    )
+    def test_bad_task_value_is_validation_error(self, tmp_path, capsys, task):
+        assert main(["--config", write_config(tmp_path, self.config(tmp_path, task))]) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "validation"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -1e-10, "1e-10", True])
+    def test_bad_tolerance_is_validation_error(self, tmp_path, capsys, value):
+        # An infinite tolerance used to pass validation and fail only when
+        # the summary was serialized.
+        cfg = self.config(tmp_path, tolerances={"conservation": value})
+        assert main(["--config", write_config(tmp_path, cfg)]) == 3
+        record = json.loads(capsys.readouterr().err)["error"]
+        assert record["kind"] == "validation"
+        assert "conservation" in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_limit_values_accepted(self, tmp_path):
+        task = {"n_cells": 4, "cfl": 1.0, "snapshots": 0, "k_sample": 1, "track_shock": False, "bc": "periodic"}
+        cfg = parse_config(json.dumps(self.config(tmp_path, task, tolerances={"conservation": 1})))
+        assert cfg.task["n_cells"] == 4
+        assert cfg.tolerances["conservation"] == 1.0
 
 
 class TestWeakVerify:
@@ -270,6 +345,41 @@ class TestWeakVerify:
         assert main(["--config", write_config(tmp_path, cfg)]) == 0
         summary = read_summary(tmp_path, "weak_verify")
         assert summary["max_abs_residual"] < 1e-8
+
+    def test_csv_rows_equal_single_component_residuals(self, tmp_path):
+        # One shared evaluation per bump, yet the rows stay component-major
+        # and each equals the single-component residual exactly.
+        model = GasModel.ideal_gas(gamma=1.4)
+        left = FluidState(1.0, 0.0, 0.0)
+        u_r, s_r, v_s = hugoniot_solve_full(left, 2.5, model)
+        cfg = {
+            "model": model_to_dict(model),
+            "solution": {
+                "states": [{"rho": 1.0, "u": 0.0, "s": 0.0}, {"rho": 2.5, "u": u_r, "s": s_r}],
+                "shock_positions": [0.5],
+                "shock_speeds": [v_s],
+                "domain": {"x_min": -1.0, "x_max": 1.0},
+            },
+            "task": {"name": "weak-verify", "count": 5, "seed": 7, "components": ["energy", "mass", "momentum"]},
+            "output": {"dir": str(tmp_path / "out")},
+        }
+        assert main(["--config", write_config(tmp_path, cfg)]) == 0
+        sol = parse_config(json.dumps(cfg)).solution
+        quad = SpacetimeQuadrature()
+        bumps = standard_battery(sol, count=5, seed=7)
+        lines = (tmp_path / "out" / "weak_verify.csv").read_text().splitlines()
+        assert lines[0] == "component,t0,x0,rt,rx,residual"
+        rows = [line.split(",") for line in lines[1:]]
+        expected = [(comp, bump) for comp in ("energy", "mass", "momentum") for bump in bumps]
+        assert len(rows) == len(expected)
+        worst = 0.0
+        for row, (comp, bump) in zip(rows, expected):
+            assert row[0] == comp
+            assert [float(v) for v in row[1:5]] == [bump.t0, bump.x0, bump.rt, bump.rx]
+            r = weak_residual(sol, comp, bump, quad)
+            assert float(row[5]) == r
+            worst = max(worst, abs(r))
+        assert read_summary(tmp_path, "weak_verify")["max_abs_residual"] == worst
 
     def test_invalid_solution_fails_audit(self, tmp_path):
         # Loose residual tolerance lets the broken solution through config

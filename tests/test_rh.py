@@ -328,12 +328,28 @@ class TestSolverGuards:
         assert adm[0] != inadm[0] and adm[-1] != inadm[-1]
 
 
-@pytest.mark.parametrize("ratio", [6.5, 100.0])
+@pytest.mark.parametrize("ratio", [6.5, 100.0, 6.0, 1.0 / 6.0])
 def test_full_solver_no_shock_ratio(ratio):
-    # (gamma + 1) / (gamma - 1) = 6 at gamma = 1.4: no shock beyond it.
+    # (gamma + 1) / (gamma - 1) = 6 at gamma = 1.4: no shock at or beyond it
+    # (at 6.0 the downstream-pressure denominator used to round to 5.6e-17
+    # and return a spurious shock with u_right of about -1.2e8).
     left = FluidState(1.0, 0.0, 0.0)
     with pytest.raises(NoShockError):
         hugoniot_solve_full(left, ratio, IDEAL)
+
+
+@pytest.mark.parametrize("gamma", [1.1, 1.2, 1.4, 5.0 / 3.0, 3.0])
+@pytest.mark.parametrize("rho_l", [0.3, 1.0, 7.0])
+def test_full_solver_rejects_roundoff_neighbours_of_limiting_ratio(gamma, rho_l):
+    # Within a few roundoffs of either limiting ratio the sign of the
+    # cancelling pressure-relation terms is not determined.
+    model = GasModel.ideal_gas(gamma=gamma)
+    left = FluidState(rho_l, 0.0, 0.0)
+    limit = (gamma + 1.0) / (gamma - 1.0)
+    for base in (rho_l * limit, rho_l / limit):
+        for k in range(-8, 9):
+            with pytest.raises(NoShockError):
+                hugoniot_solve_full(left, base * (1.0 + k * 2.2e-16), model)
 
 
 class TestAdmissibility:

@@ -17,6 +17,7 @@ from shockaudit.weakcheck import (
     normal_speed_levelset,
     standard_battery,
     weak_residual,
+    weak_residuals,
 )
 
 
@@ -287,9 +288,11 @@ class TestSlabQuadratureAgainstLoop:
         refs = loop_weak_residual(
             regions, sol.shock_positions_t0, sol.shock_speeds, h, order, panels, aligned
         )
+        shared = weak_residuals(sol, comps, h, quad)
         for i, comp in enumerate(comps):
             scale = max(max(abs(U[i]), abs(F[i])) for U, F in regions)
             assert abs(weak_residual(sol, comp, h, quad) - refs[i]) <= 1e-13 * scale
+            assert abs(shared[i] - refs[i]) <= 1e-13 * scale
 
     def test_unaligned_region_changes_inside_the_slab(self):
         # Guard on the case itself: the shock really crosses the box
@@ -298,6 +301,84 @@ class TestSlabQuadratureAgainstLoop:
         t_lo, t_hi, x_lo, x_hi = bump.support()
         centre = 0.5 * (x_lo + x_hi)
         assert mov.region_index(t_lo, centre) != mov.region_index(t_hi, centre)
+
+
+class CountingTestFunction:
+    """Wraps a test function and counts the points at which dt and dx are evaluated."""
+
+    def __init__(self, h):
+        self.h = h
+        self.points = 0
+        self.calls = 0
+
+    def support(self):
+        return self.h.support()
+
+    def _count(self, t, x):
+        self.calls += 1
+        self.points += np.broadcast(t, x).size
+
+    def dt(self, t, x):
+        self._count(t, x)
+        return self.h.dt(t, x)
+
+    def dx(self, t, x):
+        self._count(t, x)
+        return self.h.dx(t, x)
+
+
+LAW_SETS = [("mass", "momentum"), ("momentum", "energy"), ("mass", "momentum", "energy"), ("energy", "mass")]
+
+
+class TestSharedEvaluation:
+    """weak_residuals shares one set of h evaluations across the requested laws."""
+
+    @pytest.mark.parametrize("laws", LAW_SETS, ids="+".join)
+    @pytest.mark.parametrize("name,sol,h,aligned", SLAB_CASES, ids=[c[0] for c in SLAB_CASES])
+    def test_equals_single_law_residuals_bit_for_bit(self, name, sol, h, aligned, laws):
+        quad = SpacetimeQuadrature(order=4, panels=4, shock_aligned=aligned)
+        shared = weak_residuals(sol, laws, h, quad)
+        assert shared == [weak_residual(sol, law, h, quad) for law in laws]
+
+    @pytest.mark.parametrize("laws", LAW_SETS, ids="+".join)
+    def test_evaluates_the_points_of_one_single_law_call(self, laws):
+        _, sol, h, _ = SLAB_CASES[2]
+        single, shared = CountingTestFunction(h), CountingTestFunction(h)
+        weak_residual(sol, "mass", single)
+        weak_residuals(sol, laws, shared)
+        assert single.points > 0
+        assert (shared.calls, shared.points) == (single.calls, single.points)
+
+    def test_unknown_component_rejected_before_any_evaluation(self):
+        sol = stationary_shock_example(2.0)
+        h = CountingTestFunction(BumpTestFunction(0.25, 0.0, 0.1, 0.1))
+        with pytest.raises(InvalidStateError, match="vorticity"):
+            weak_residuals(sol, ("mass", "momentum", "vorticity"), h)
+        assert h.calls == 0
+
+    def test_support_checked_before_any_evaluation(self):
+        sol = stationary_shock_example(2.0)
+        h = CountingTestFunction(BumpTestFunction(0.25, 0.9, 0.15, 0.3))
+        with pytest.raises(DomainError):
+            weak_residuals(sol, ("mass", "momentum"), h)
+        assert h.calls == 0
+
+    def test_non_finite_residual_names_its_component(self):
+        # rho u is finite but (rho u) u overflows: mass stays finite while
+        # the momentum and energy residuals do not.
+        state = FluidState(1e300, 1e5)
+        sol = PiecewiseShockSolution(
+            model=GasModel.barotropic(K=1.0, gamma=1.01),
+            states=(state, state),
+            shock_positions_t0=(0.0,),
+            shock_speeds=(0.0,),
+            validate=False,
+        )
+        bump = BumpTestFunction(0.25, 0.0, 0.1, 0.2)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert math.isfinite(weak_residuals(sol, ("mass",), bump)[0])
+            with pytest.raises(NumericalError, match="momentum"):
+                weak_residuals(sol, ("mass", "momentum", "energy"), bump)
 
 
 class TestQuadratureGuards:
