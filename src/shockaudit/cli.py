@@ -170,14 +170,26 @@ def _apply_output_flags(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
-def _csv_text(header, rows) -> str:
-    def cell(v):
-        if isinstance(v, float):
-            return format_float(v)
-        return str(v)
+def _csv_cells(column) -> list:
+    """One column's cell strings.
 
+    A float64 array (an fv-run field) is formatted once per distinct bit
+    pattern, so -0.0 and 0.0 stay apart, after a finiteness check on the
+    whole array; a short list of Python scalars is formatted value by value.
+    """
+    if isinstance(column, np.ndarray):
+        finite = np.isfinite(column)
+        if not finite.all():
+            format_float(float(column[~finite][0]))  # raises ConfigError
+        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        text = [format_float(v) for v in bits.view(np.float64).tolist()]
+        return [text[i] for i in inverse.tolist()]
+    return [format_float(v) if isinstance(v, float) else str(v) for v in column]
+
+
+def _csv_text(header, columns) -> str:
     lines = [",".join(header)]
-    lines += [",".join(cell(v) for v in row) for row in rows]
+    lines += [",".join(row) for row in zip(*map(_csv_cells, columns))]
     return "\n".join(lines) + "\n"
 
 
@@ -214,7 +226,7 @@ def _run_shock_example(cfg: RunConfig):
         ("gap", gap),
         ("max_residual", worst),
     ]
-    return summary, ("quantity", "value"), rows, summary["audit"]["pass"]
+    return summary, ("quantity", "value"), list(zip(*rows)), summary["audit"]["pass"]
 
 
 def _run_energy_audit(cfg: RunConfig):
@@ -246,7 +258,7 @@ def _run_energy_audit(cfg: RunConfig):
         ("lambda_right", lam_r),
         ("augmented_rate", aug),
     ]
-    return summary, ("quantity", "value"), rows, summary["audit"]["pass"]
+    return summary, ("quantity", "value"), list(zip(*rows)), summary["audit"]["pass"]
 
 
 def _run_rh_solve(cfg: RunConfig):
@@ -287,7 +299,7 @@ def _run_rh_solve(cfg: RunConfig):
         audit={"max_residual": worst, "tolerance": tol, "pass": worst <= tol},
     )
     rows = list(summary["residuals"].items())
-    return summary, ("quantity", "value"), rows, summary["audit"]["pass"]
+    return summary, ("quantity", "value"), list(zip(*rows)), summary["audit"]["pass"]
 
 
 def _run_fv(cfg: RunConfig):
@@ -333,15 +345,18 @@ def _run_fv(cfg: RunConfig):
     }
 
     header = ("t", "x", "rho", "u", "s") if model.carries_entropy else ("t", "x", "rho", "u")
-    rows = []
+    blocks = []
     centers = grid.centers()
     for t, snap in result.snapshots:
         rho = snap.data[0]
-        columns = [centers, rho, snap.data[1] / rho]
+        block = [np.full(grid.n_cells, float(t)), centers, rho, snap.data[1] / rho]
         if model.carries_entropy:
-            columns.append(entropy_density_cells(model, snap.data))
-        rows += [(float(t), *cell) for cell in zip(*(col.tolist() for col in columns))]
-    return summary, header, rows, summary["audit"]["pass"]
+            block.append(entropy_density_cells(model, snap.data))
+        blocks.append(block)
+    # One float64 array per header name, snapshots one after another; with
+    # no snapshots there are no columns and the CSV is the header alone.
+    columns = [np.concatenate(parts) for parts in zip(*blocks)]
+    return summary, header, columns, summary["audit"]["pass"]
 
 
 def _run_weak_verify(cfg: RunConfig):
@@ -378,7 +393,8 @@ def _run_weak_verify(cfg: RunConfig):
         "solution": cfgmod.solution_to_dict(sol),
         "audit": {"max_abs_residual": worst, "tolerance": tol, "pass": worst <= tol},
     }
-    return summary, ("component", "t0", "x0", "rt", "rx", "residual"), rows, summary["audit"]["pass"]
+    header = ("component", "t0", "x0", "rt", "rx", "residual")
+    return summary, header, list(zip(*rows)), summary["audit"]["pass"]
 
 
 _TASKS = {
@@ -390,7 +406,7 @@ _TASKS = {
 }
 
 
-def _emit(cfg: RunConfig, summary, header, rows):
+def _emit(cfg: RunConfig, summary, header, columns):
     out_dir = cfg.output["dir"]
     os.makedirs(out_dir, exist_ok=True)
     stem = cfg.task_name.replace("-", "_")
@@ -399,9 +415,9 @@ def _emit(cfg: RunConfig, summary, header, rows):
     if "json" in cfg.output["formats"]:
         with open(os.path.join(out_dir, f"{stem}.json"), "w", encoding="utf-8") as fh:
             fh.write(text)
-    if "csv" in cfg.output["formats"] and rows is not None:
+    if "csv" in cfg.output["formats"]:
         with open(os.path.join(out_dir, f"{stem}.csv"), "w", encoding="utf-8") as fh:
-            fh.write(_csv_text(header, rows))
+            fh.write(_csv_text(header, columns))
     sys.stdout.write(text)
 
 
@@ -416,8 +432,8 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         log.debug("running task %s", cfg.task_name)
-        summary, header, rows, passed = _TASKS[cfg.task_name](cfg)
-        _emit(cfg, summary, header, rows)
+        summary, header, columns, passed = _TASKS[cfg.task_name](cfg)
+        _emit(cfg, summary, header, columns)
         return EXIT_OK if passed else EXIT_AUDIT
     except ConfigParseError as exc:
         sys.stderr.write(_error_record(EXIT_PARSE, "parse", str(exc)))

@@ -55,7 +55,26 @@ def _require_int(task: dict, key: str, minimum: int) -> None:
 
 
 def _is_real(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a JSON integer past the double range
+        return False
+
+
+def _real(value, where: str) -> float:
+    """A finite JSON number as a float; a string, bool or non-finite value is a ConfigError."""
+    if not _is_real(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _reals(block: dict, key: str, where: str) -> tuple:
+    values = block[key]
+    if not isinstance(values, list):
+        raise ConfigError(f"{where}.{key} must be a list, got {values!r}")
+    return tuple(_real(v, f"{where}.{key}[{i}]") for i, v in enumerate(values))
 
 
 def _validate_weak_task(task: dict) -> None:
@@ -68,6 +87,8 @@ def _validate_weak_task(task: dict) -> None:
     keys = {"t0", "x0", "rt", "rx"}
     for i, bump in enumerate(task.get("bumps", [])):
         _check_keys(bump, keys, keys, f"task.bumps[{i}]")
+        for key in sorted(keys):
+            _real(bump[key], f"task.bumps[{i}].{key}")
 
 
 def _validate_fv_task(task: dict) -> None:
@@ -103,12 +124,14 @@ def model_from_dict(block: dict) -> GasModel:
     if kind == GasKind.BAROTROPIC_POLYTROPIC.value:
         if "K" not in block:
             raise ConfigError("barotropic model needs a pressure scale K")
-        return GasModel.barotropic(K=float(block["K"]), gamma=float(block["gamma"]))
+        return GasModel.barotropic(
+            K=_real(block["K"], "model.K"), gamma=_real(block["gamma"], "model.gamma")
+        )
     if kind == GasKind.IDEAL_GAS_ENTROPY.value:
         return GasModel.ideal_gas(
-            gamma=float(block["gamma"]),
-            e_ref=float(block.get("e_ref", 1.0)),
-            c_v=float(block.get("c_v", 1.0)),
+            gamma=_real(block["gamma"], "model.gamma"),
+            e_ref=_real(block.get("e_ref", 1.0), "model.e_ref"),
+            c_v=_real(block.get("c_v", 1.0), "model.c_v"),
         )
     raise ConfigError(f"unknown model kind {kind!r}")
 
@@ -123,7 +146,11 @@ def state_to_dict(state: FluidState) -> dict:
 def state_from_dict(block: dict, where: str = "state") -> FluidState:
     _check_keys(block, {"rho", "u", "s"}, {"rho", "u"}, where)
     s = block.get("s")
-    return FluidState(float(block["rho"]), float(block["u"]), None if s is None else float(s))
+    return FluidState(
+        _real(block["rho"], f"{where}.rho"),
+        _real(block["u"], f"{where}.u"),
+        None if s is None else _real(s, f"{where}.s"),
+    )
 
 
 def jump_to_dict(jump: ShockJump) -> dict:
@@ -151,15 +178,16 @@ def jump_from_dict(block: dict) -> ShockJump:
         {"left", "right"},
         "jump",
     )
+    sigma_l, sigma_r = block.get("sigma_left"), block.get("sigma_right")
     return ShockJump(
         left=state_from_dict(block["left"], "jump.left"),
         right=state_from_dict(block["right"], "jump.right"),
-        n=float(block.get("n", 1.0)),
-        v_s=float(block.get("v_s", 0.0)),
-        sigma_left=block.get("sigma_left"),
-        sigma_right=block.get("sigma_right"),
-        js_left=float(block.get("js_left", 0.0)),
-        js_right=float(block.get("js_right", 0.0)),
+        n=_real(block.get("n", 1.0), "jump.n"),
+        v_s=_real(block.get("v_s", 0.0), "jump.v_s"),
+        sigma_left=None if sigma_l is None else _real(sigma_l, "jump.sigma_left"),
+        sigma_right=None if sigma_r is None else _real(sigma_r, "jump.sigma_right"),
+        js_left=_real(block.get("js_left", 0.0), "jump.js_left"),
+        js_right=_real(block.get("js_right", 0.0), "jump.js_right"),
     )
 
 
@@ -188,14 +216,18 @@ def solution_from_dict(
     dom_block = block.get("domain", {"x_min": -1.0, "x_max": 1.0})
     _check_keys(dom_block, {"x_min", "x_max", "motion"}, {"x_min", "x_max"}, "solution.domain")
     domain = Domain1D(
-        float(dom_block["x_min"]), float(dom_block["x_max"]), dom_block.get("motion", "fixed")
+        _real(dom_block["x_min"], "solution.domain.x_min"),
+        _real(dom_block["x_max"], "solution.domain.x_max"),
+        dom_block.get("motion", "fixed"),
     )
+    if not isinstance(block["states"], list):
+        raise ConfigError(f"solution.states must be a list, got {block['states']!r}")
     states = tuple(state_from_dict(s, f"solution.states[{i}]") for i, s in enumerate(block["states"]))
     return PiecewiseShockSolution(
         model=model,
         states=states,
-        shock_positions_t0=tuple(float(x) for x in block["shock_positions"]),
-        shock_speeds=tuple(float(v) for v in block["shock_speeds"]),
+        shock_positions_t0=_reals(block, "shock_positions", "solution"),
+        shock_speeds=_reals(block, "shock_speeds", "solution"),
         domain=domain,
         validate=validate,
         rh_tol=rh_tol,
@@ -225,6 +257,9 @@ def validate_config(raw: dict) -> RunConfig:
     if name not in TASK_NAMES:
         raise ConfigError(f"unknown task {name!r}; expected one of {list(TASK_NAMES)}")
     _check_keys(task_block, _TASK_KEYS[name], {"name"}, "task")
+    for key in ("gamma", "rho_right"):
+        if key in task_block:
+            _real(task_block[key], f"task.{key}")
     if name == "weak-verify":
         _validate_weak_task(task_block)
     elif name == "fv-run":
@@ -242,6 +277,10 @@ def validate_config(raw: dict) -> RunConfig:
     if "output" in raw:
         _check_keys(raw["output"], {"dir", "formats"}, set(), "output")
         output.update(raw["output"])
+        if not (isinstance(output["dir"], str) and output["dir"]):
+            raise ConfigError(f"output.dir must be a non-empty string, got {output['dir']!r}")
+        if not isinstance(output["formats"], list):
+            raise ConfigError(f"output.formats must be a list, got {output['formats']!r}")
         bad = [f for f in output["formats"] if f not in ("json", "csv")]
         if bad:
             raise ConfigError(f"unknown output formats {bad}")

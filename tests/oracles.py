@@ -4,11 +4,16 @@ Everything here is written from the jump-condition definitions alone, with
 its own residual formulas, so it shares no code path with the package
 solvers it cross-checks.  The solvers are brute-force zoom scans: evaluate
 the residual norm on a grid, shrink the box around the best cell, repeat.
+The CSV writer is the exception: it keeps the package's float rendering
+(`format_float`, 17 significant digits), because that rendering is the
+artifact contract it checks the column writer against.
 """
 
 import math
 
 import numpy as np
+
+from shockaudit.config import format_float
 
 
 def baro_pressure(K, gamma, rho):
@@ -228,3 +233,15 @@ def loop_weak_residual(regions, shock_x0, shock_v, h, order, panels, shock_align
                 inner += U * float(np.sum(ws * h.dt(t, xs))) + F * float(np.sum(ws * h.dx(t, xs)))
             total += wt * inner
     return total
+
+
+def csv_text_per_value(header, rows):
+    """The row-by-row CSV writer: one format_float call per float cell."""
+    def cell(v):
+        if isinstance(v, float):
+            return format_float(v)
+        return str(v)
+
+    lines = [",".join(header)]
+    lines += [",".join(cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -2,8 +2,11 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+import oracles
+from shockaudit import cli
 from shockaudit.cli import main
 from shockaudit.config import (
     dumps_deterministic,
@@ -18,6 +21,7 @@ from shockaudit.config import (
 )
 from shockaudit.eos import FluidState, GasModel
 from shockaudit.errors import ConfigError
+from shockaudit.fv_solver import Grid1D, entropy_density_cells, field_from_solution, simulate
 from shockaudit.rh import ShockJump, hugoniot_solve_full
 from shockaudit.shock1d import stationary_shock_example
 from shockaudit.weakcheck import SpacetimeQuadrature, standard_battery, weak_residual
@@ -184,6 +188,124 @@ class TestConfigErrors:
             parse_config(json.dumps(doc))
 
 
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+class TestNumberFields:
+    """Every numeric config field must be a finite JSON number, never a string, bool or null."""
+
+    @staticmethod
+    def base(kind):
+        baro = {"kind": "barotropic_polytropic", "K": 1.0, "gamma": 1.4}
+        ideal = {"kind": "ideal_gas_entropy", "gamma": 1.4, "e_ref": 1.0, "c_v": 1.0}
+        left, right = {"rho": 1.0, "u": 0.0, "s": 0.0}, {"rho": 2.0, "u": 0.0, "s": 0.0}
+        jump = {"left": left, "right": right, "n": 1.0, "v_s": 0.0,
+                "sigma_left": 0.0, "sigma_right": 0.0, "js_left": 0.0, "js_right": 0.0}
+        return {
+            "example": {"task": {"name": "shock-example", "gamma": 2.0}},
+            "solve": {"model": baro, "task": {"name": "rh-solve", "left": {"rho": 1.0, "u": 0.0}, "rho_right": 2.0}},
+            "ideal": {"model": ideal, "task": {"name": "rh-solve", "left": left, "rho_right": 2.0}},
+            "jump": {"model": ideal, "task": {"name": "rh-solve", "jump": jump}},
+            "weak": {
+                **_baro_stationary_shock(),
+                "task": {"name": "weak-verify", "bumps": [{"t0": 0.5, "x0": 0.0, "rt": 0.2, "rx": 0.2}]},
+            },
+        }[kind]
+
+    @pytest.mark.parametrize(
+        "kind, path, value",
+        [
+            ("example", ("task", "gamma"), "abc"),
+            ("example", ("task", "gamma"), True),
+            # A JSON integer past the double range used to end as exit 4.
+            ("example", ("task", "gamma"), 10 ** 400),
+            ("solve", ("task", "rho_right"), "x"),
+            ("solve", ("task", "rho_right"), "2"),
+            ("solve", ("task", "left", "rho"), "1"),
+            ("solve", ("task", "left", "u"), True),
+            ("solve", ("model", "gamma"), "abc"),
+            ("solve", ("model", "K"), True),
+            ("solve", ("model", "K"), None),
+            ("ideal", ("model", "e_ref"), "1"),
+            ("ideal", ("model", "c_v"), False),
+            ("ideal", ("task", "left", "s"), "0"),
+            ("jump", ("task", "jump", "n"), "1"),
+            ("jump", ("task", "jump", "v_s"), True),
+            ("jump", ("task", "jump", "js_left"), "0"),
+            ("jump", ("task", "jump", "js_right"), [0.0]),
+            ("jump", ("task", "jump", "sigma_right"), "x"),
+            ("jump", ("task", "jump", "right", "rho"), "2"),
+            ("weak", ("solution", "domain", "x_min"), "-1"),
+            ("weak", ("solution", "domain", "x_max"), True),
+            ("weak", ("solution", "shock_positions"), ["0"]),
+            ("weak", ("solution", "shock_speeds"), [True]),
+            ("weak", ("solution", "shock_positions"), 0.0),
+            ("weak", ("solution", "states"), 1.0),
+            ("weak", ("solution", "states", 1, "rho"), "2"),
+            ("weak", ("task", "bumps", 0, "t0"), "0.5"),
+            ("weak", ("task", "bumps", 0, "rx"), True),
+        ],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v)[:16],
+    )
+    def test_non_number_is_validation_error(self, tmp_path, capsys, monkeypatch, kind, path, value):
+        monkeypatch.chdir(tmp_path)
+        doc = self.base(kind)
+        _set(doc, path, value)
+        assert main(["--config", write_config(tmp_path, doc)]) == 3
+        record = json.loads(capsys.readouterr().err)["error"]
+        assert record["kind"] == "validation"
+        assert [k for k in path if isinstance(k, str)][-1] in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["example", "solve", "ideal", "jump", "weak"])
+    def test_bases_run(self, tmp_path, kind):
+        doc = {**self.base(kind), "output": {"dir": str(tmp_path / "out")}}
+        assert main(["--config", write_config(tmp_path, doc)]) in (0, 1)
+
+    def test_integers_are_numbers(self, tmp_path):
+        doc = self.base("solve")
+        doc["model"] = {"kind": "barotropic_polytropic", "K": 1, "gamma": 2}
+        doc["task"]["left"] = {"rho": 1, "u": 0}
+        doc["task"]["rho_right"] = 2
+        doc["output"] = {"dir": str(tmp_path / "out")}
+        assert main(["--config", write_config(tmp_path, doc)]) == 0
+
+
+class TestOutputBlock:
+    @pytest.mark.parametrize(
+        "output",
+        [
+            {"dir": 5},
+            {"dir": ""},
+            {"dir": None},
+            {"dir": ["out"]},
+            {"formats": None},
+            {"formats": "json"},
+            {"formats": {"json": True}},
+            {"formats": ["xml"]},
+            {"formats": [["json"]]},
+        ],
+        ids=repr,
+    )
+    def test_bad_output_block_is_validation_error(self, tmp_path, capsys, monkeypatch, output):
+        monkeypatch.chdir(tmp_path)
+        doc = {"task": {"name": "shock-example", "gamma": 2.0}, "output": {"dir": "out", **output}}
+        assert main(["--config", write_config(tmp_path, doc)]) == 3
+        record = json.loads(capsys.readouterr().err)["error"]
+        assert record["kind"] == "validation"
+        assert "output" in record["message"]
+        assert sorted(os.listdir(tmp_path)) == ["run.json"]
+
+    def test_format_subset_written(self, tmp_path):
+        doc = {"task": {"name": "shock-example", "gamma": 2.0},
+               "output": {"dir": str(tmp_path / "out"), "formats": ["csv"]}}
+        assert main(["--config", write_config(tmp_path, doc)]) == 0
+        assert os.listdir(tmp_path / "out") == ["shock_example.csv"]
+
+
 class TestEnergyAudit:
     def test_summary_fields(self, tmp_path):
         code = main(["--out-dir", str(tmp_path / "out"), "energy-audit", "--gamma", "2"])
@@ -320,6 +442,118 @@ class TestFvRunValidation:
         cfg = parse_config(json.dumps(self.config(tmp_path, task, tolerances={"conservation": 1})))
         assert cfg.task["n_cells"] == 4
         assert cfg.tolerances["conservation"] == 1.0
+
+
+def _ideal_moving_shock():
+    s0 = math.log(1.0 / 0.4)
+    u_r, s_r, v_s = hugoniot_solve_full(FluidState(1.0, 0.0, s0), 2.0, GasModel.ideal_gas(gamma=1.4))
+    return {
+        "model": {"kind": "ideal_gas_entropy", "gamma": 1.4},
+        "solution": {
+            "states": [{"rho": 1.0, "u": 0.0, "s": s0}, {"rho": 2.0, "u": u_r, "s": s_r}],
+            "shock_positions": [0.0],
+            "shock_speeds": [v_s],
+            "domain": {"x_min": -1.2, "x_max": 0.4},
+        },
+    }
+
+
+def _baro_stationary_shock():
+    return {
+        "model": {"kind": "barotropic_polytropic", "K": 2.0 / 3.0, "gamma": 2.0},
+        "solution": {
+            "states": [{"rho": 1.0, "u": 2.0}, {"rho": 2.0, "u": 1.0}],
+            "shock_positions": [0.0],
+            "shock_speeds": [0.0],
+            "domain": {"x_min": -1.0, "x_max": 1.0},
+        },
+    }
+
+
+def _fv_rows(cfg):
+    """(t, x, rho, u[, s]) rows of an fv-run config, built cell by cell from its own simulate call."""
+    run = parse_config(json.dumps(cfg))
+    model, sol, task = run.model, run.solution, run.task
+    grid = Grid1D(sol.domain.x_min, sol.domain.x_max, task["n_cells"])
+    times = list(np.linspace(0.0, task["t_final"], task["snapshots"])) if task["snapshots"] else []
+    result = simulate(
+        model, grid, field_from_solution(model, grid, sol), task["t_final"], cfl=task["cfl"],
+        bc=task["bc"], track_shock=task["track_shock"], snapshot_times=times,
+    )
+    rows = []
+    for t, snap in result.snapshots:
+        rho = snap.data[0]
+        columns = [grid.centers(), rho, snap.data[1] / rho]
+        if model.carries_entropy:
+            columns.append(entropy_density_cells(model, snap.data))
+        rows += [(float(t), *cell) for cell in zip(*(col.tolist() for col in columns))]
+    return rows
+
+
+class TestCsvColumns:
+    """fv-run hands its table to the writer as float64 columns; the bytes stay per-value."""
+
+    @pytest.mark.parametrize("snapshots", [0, 1, 3])
+    @pytest.mark.parametrize("bc", ["outflow", "periodic"])
+    @pytest.mark.parametrize("case", [_baro_stationary_shock, _ideal_moving_shock], ids=["barotropic", "ideal"])
+    def test_fv_run_csv_matches_per_value_writer(self, tmp_path, case, bc, snapshots):
+        # Two steps: under a periodic boundary the seam joins the two states,
+        # and a longer run smears it until locate_shock's isolation gate fails.
+        task = {"name": "fv-run", "n_cells": 64, "t_final": 0.002, "cfl": 0.45, "bc": bc,
+                "snapshots": snapshots, "track_shock": False}
+        cfg = {**case(), "task": task, "output": {"dir": str(tmp_path / "out")}}
+        assert main(["--config", write_config(tmp_path, cfg)]) == 0
+        header = ("t", "x", "rho", "u", "s") if "s" in cfg["solution"]["states"][0] else ("t", "x", "rho", "u")
+        rows = _fv_rows(cfg)
+        assert len(rows) == snapshots * 64
+        emitted = (tmp_path / "out" / "fv_run.csv").read_bytes()
+        assert emitted == oracles.csv_text_per_value(header, rows).encode()
+        if snapshots == 0:
+            assert emitted == (",".join(header) + "\n").encode()
+
+    @staticmethod
+    def awkward_columns():
+        one = 1.0
+        a = np.array([
+            -0.0, 0.0, 0.0, -0.0, one, np.nextafter(one, 2.0), np.nextafter(one, 0.0), one,
+            5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308,
+            1e-300, -1e-300, 2.0 / 3.0, 2.0 / 3.0, 0.1, 0.1,
+        ])
+        b = -a[::-1]
+        return a, b
+
+    def test_array_columns_match_per_value_writer(self):
+        a, b = self.awkward_columns()
+        names = [f"r{i}" for i in range(a.size)]
+        text = cli._csv_text(("name", "a", "b"), [names, a, b])
+        rows = list(zip(names, a.tolist(), b.tolist()))
+        assert text == oracles.csv_text_per_value(("name", "a", "b"), rows)
+        cells = [line.split(",")[1] for line in text.splitlines()[1:]]
+        assert cells[:4] == ["-0", "0", "0", "-0"]
+        assert len(set(cells[4:8])) == 3
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_array_value_raises(self, bad):
+        column = np.array([1.0, 2.0, bad, 3.0])
+        with pytest.raises(ConfigError):
+            cli._csv_text(("t", "x"), [np.zeros(4), column])
+
+    def test_format_float_called_once_per_distinct_value(self, monkeypatch):
+        a, b = self.awkward_columns()
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return format_float(x)
+
+        monkeypatch.setattr(cli, "format_float", counting)
+        cli._csv_text(("a", "b"), [a, b])
+        distinct = [sorted(set(col.view(np.uint64).tolist())) for col in (a, b)]
+        assert len(calls) == len(distinct[0]) + len(distinct[1]) < 2 * a.size
+        # Column by column, each bit pattern once (-0.0 and 0.0 are two).
+        seen = np.array(calls).view(np.uint64).tolist()
+        split = len(distinct[0])
+        assert [sorted(seen[:split]), sorted(seen[split:])] == distinct
 
 
 class TestWeakVerify:
