@@ -7,6 +7,7 @@ against the algebraic jump conditions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,19 +82,29 @@ def _n_comp(model: GasModel) -> int:
     return 3 if model.carries_entropy else 2
 
 
+def _require_positive(values, nonpositive: str, quantity: str) -> None:
+    """Raise NumericalError at the first cell where values is not > 0 or not finite.
+
+    One min() reduction per call: it propagates NaN, so the cell index is
+    looked up only on failure.
+    """
+    if values.min() > 0.0:
+        return
+    flat = np.ravel(values)
+    i = int(np.flatnonzero(~(flat > 0.0))[0])
+    problem = nonpositive if math.isfinite(flat[i]) else f"non-finite {quantity}"
+    raise NumericalError(f"{problem} in cell {i}")
+
+
 def _check_positivity(U: np.ndarray):
     """Internal energy density of the block (None if barotropic), after checking
     that density and internal energy are positive in every cell."""
     rho = U[0]
-    bad = np.flatnonzero(rho <= 0.0)
-    if bad.size:
-        raise NumericalError(f"vacuum generated in cell {int(bad[0])}")
+    _require_positive(rho, "vacuum generated", "density")
     if U.shape[0] == 2:
         return None
     eint = U[2] - 0.5 * U[1] ** 2 / rho
-    bad = np.flatnonzero(eint <= 0.0)
-    if bad.size:
-        raise NumericalError(f"nonpositive internal energy in cell {int(bad[0])}")
+    _require_positive(eint, "nonpositive internal energy", "internal energy")
     return eint
 
 
@@ -115,16 +126,6 @@ def flux(model: GasModel, U) -> np.ndarray:
     return np.array(physical_flux(arr, u, p))
 
 
-def _ghost(cells: np.ndarray, bc: str) -> np.ndarray:
-    """Copy of a (rows, n_cells) block with one ghost cell at each end."""
-    if bc not in ("outflow", "periodic"):
-        raise InvalidStateError(f"unknown boundary condition {bc!r}")
-    out = np.empty((cells.shape[0], cells.shape[1] + 2))
-    out[:, 1:-1] = cells
-    out[:, [0, -1]] = cells[:, [0, -1] if bc == "outflow" else [-1, 0]]
-    return out
-
-
 def step(
     model: GasModel,
     grid: Grid1D,
@@ -137,20 +138,54 @@ def step(
 
     Wave-speed bounds are the Davis estimates S_L = min(u - c) and
     S_R = max(u + c) over the interface pair.  Returns the updated field and
-    the time step actually taken.
+    the time step actually taken.  A cell that is not finite, or whose
+    density or internal energy is not positive, raises NumericalError naming
+    the first such cell.
     """
     if not 0.0 < cfl <= 1.0:
         raise InvalidStateError(f"cfl must lie in (0, 1], got {cfl}")
+    if bc not in ("outflow", "periodic"):
+        raise InvalidStateError(f"unknown boundary condition {bc!r}")
     U = field.data
-    k = U.shape[0]
+    k, n = U.shape
     if k != _n_comp(model):
         raise InvalidStateError("field component count does not match the model")
     u, p, c = _primitives(model, U)
-    dt = min(cfl * grid.dx / float(np.max(np.abs(u) + c)), dt_max)
 
-    # Per cell: U, F(U) and the two wave speeds, ghosted once and read on
-    # both sides of every interface.
-    cells = _ghost(np.vstack((U, *physical_flux(U, u, p), u - c, u + c)), bc)
+    # Per cell: U, F(U) and the two wave speeds in one block with a ghost
+    # cell at each end, read on both sides of every interface.  F(U) is
+    # written in place in eos.physical_flux's operation order (U[1],
+    # U[1] u + p, (U[2] + p) u), so its bits are physical_flux's.
+    cells = np.empty((2 * k + 2, n + 2))
+    inner = cells[:, 1:-1]
+    inner[:k] = U
+    inner[k] = U[1]
+    np.multiply(U[1], u, out=inner[k + 1])
+    inner[k + 1] += p
+    if k == 3:
+        np.add(U[2], p, out=inner[k + 2])
+        inner[k + 2] *= u
+    np.subtract(u, c, out=inner[2 * k])
+    np.add(u, c, out=inner[2 * k + 1])
+
+    # max |u| + c is max(u + c, c - u) over the cells, and c - u rounds to
+    # exactly -(u - c), so dt has the same bits as from |u| + c.  A NaN or
+    # infinite momentum or energy that passed the positivity checks makes
+    # the extreme speeds non-finite; an infinite ideal-gas density gives
+    # u = c = 0, so the largest density is checked as well.
+    slowest = float(inner[2 * k].min())
+    fastest = float(inner[2 * k + 1].max())
+    if not (math.isfinite(slowest) and math.isfinite(fastest) and math.isfinite(U[0].max())):
+        bad = ~np.isfinite(inner).all(axis=0)
+        raise NumericalError(f"non-finite state in cell {int(np.flatnonzero(bad)[0])}")
+    dt = min(cfl * grid.dx / max(fastest, -slowest), dt_max)
+
+    if bc == "outflow":
+        cells[:, 0] = cells[:, 1]
+        cells[:, -1] = cells[:, -2]
+    else:
+        cells[:, 0] = cells[:, -2]
+        cells[:, -1] = cells[:, 1]
     L = cells[:, :-1]
     R = cells[:, 1:]
     UL, FL = L[:k], L[k:2 * k]
@@ -158,12 +193,23 @@ def step(
     SL = np.minimum(L[2 * k], R[2 * k])
     SR = np.maximum(L[2 * k + 1], R[2 * k + 1])
 
+    # F = (SR FL - SL FR + SL SR (UR - UL)) / span, in that operation order,
+    # then the upwind states where both waves move one way.
     span = SR - SL
-    span = np.where(span == 0.0, 1.0, span)
-    F_mid = (SR * FL - SL * FR + SL * SR * (UR - UL)) / span
-    F = np.where(SL >= 0.0, FL, np.where(SR <= 0.0, FR, F_mid))
+    span[span == 0.0] = 1.0
+    F = SR * FL
+    tmp = SL * FR
+    F -= tmp
+    np.subtract(UR, UL, out=tmp)
+    tmp *= SL * SR
+    F += tmp
+    F /= span
+    np.copyto(F, FR, where=SR <= 0.0)
+    np.copyto(F, FL, where=SL >= 0.0)
 
-    U_new = U - dt / grid.dx * (F[:, 1:] - F[:, :-1])
+    U_new = np.subtract(F[:, 1:], F[:, :-1])
+    U_new *= dt / grid.dx
+    np.subtract(U, U_new, out=U_new)
     _check_positivity(U_new)
     return ConservedField(U_new, boundary_flux=(F[:, 0].copy(), F[:, -1].copy())), dt
 

@@ -6,7 +6,10 @@ solvers it cross-checks.  The solvers are brute-force zoom scans: evaluate
 the residual norm on a grid, shrink the box around the best cell, repeat.
 The CSV writer is the exception: it keeps the package's float rendering
 (`format_float`, 17 significant digits), because that rendering is the
-artifact contract it checks the column writer against.
+artifact contract it checks the column writer against.  So is the stacked
+HLL step: it is the package's earlier `fv_solver.step` kept verbatim, with
+the package's EOS closures and flux, as the bit-for-bit reference for the
+in-place step.
 """
 
 import math
@@ -14,6 +17,9 @@ import math
 import numpy as np
 
 from shockaudit.config import format_float
+from shockaudit.eos import physical_flux, pressure_from, sound_speed_from
+from shockaudit.errors import InvalidStateError, NumericalError
+from shockaudit.fv_solver import ConservedField
 
 
 def baro_pressure(K, gamma, rho):
@@ -245,3 +251,62 @@ def csv_text_per_value(header, rows):
     lines = [",".join(header)]
     lines += [",".join(cell(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _stacked_check_positivity(U):
+    rho = U[0]
+    bad = np.flatnonzero(rho <= 0.0)
+    if bad.size:
+        raise NumericalError(f"vacuum generated in cell {int(bad[0])}")
+    if U.shape[0] == 2:
+        return None
+    eint = U[2] - 0.5 * U[1] ** 2 / rho
+    bad = np.flatnonzero(eint <= 0.0)
+    if bad.size:
+        raise NumericalError(f"nonpositive internal energy in cell {int(bad[0])}")
+    return eint
+
+
+def _stacked_primitives(model, U):
+    rho = U[0]
+    p = pressure_from(model, rho, _stacked_check_positivity(U))
+    return U[1] / rho, p, sound_speed_from(model, rho, p)
+
+
+def _ghost(cells, bc):
+    """Copy of a (rows, n_cells) block with one ghost cell at each end."""
+    if bc not in ("outflow", "periodic"):
+        raise InvalidStateError(f"unknown boundary condition {bc!r}")
+    out = np.empty((cells.shape[0], cells.shape[1] + 2))
+    out[:, 1:-1] = cells
+    out[:, [0, -1]] = cells[:, [0, -1] if bc == "outflow" else [-1, 0]]
+    return out
+
+
+def stacked_hll_step(model, grid, field, cfl=0.45, bc="outflow", dt_max=np.inf):
+    """The HLL step built with vstack, a ghosted copy and a nested where."""
+    if not 0.0 < cfl <= 1.0:
+        raise InvalidStateError(f"cfl must lie in (0, 1], got {cfl}")
+    U = field.data
+    k = U.shape[0]
+    if k != (3 if model.carries_entropy else 2):
+        raise InvalidStateError("field component count does not match the model")
+    u, p, c = _stacked_primitives(model, U)
+    dt = min(cfl * grid.dx / float(np.max(np.abs(u) + c)), dt_max)
+
+    cells = _ghost(np.vstack((U, *physical_flux(U, u, p), u - c, u + c)), bc)
+    L = cells[:, :-1]
+    R = cells[:, 1:]
+    UL, FL = L[:k], L[k:2 * k]
+    UR, FR = R[:k], R[k:2 * k]
+    SL = np.minimum(L[2 * k], R[2 * k])
+    SR = np.maximum(L[2 * k + 1], R[2 * k + 1])
+
+    span = SR - SL
+    span = np.where(span == 0.0, 1.0, span)
+    F_mid = (SR * FL - SL * FR + SL * SR * (UR - UL)) / span
+    F = np.where(SL >= 0.0, FL, np.where(SR <= 0.0, FR, F_mid))
+
+    U_new = U - dt / grid.dx * (F[:, 1:] - F[:, :-1])
+    _stacked_check_positivity(U_new)
+    return ConservedField(U_new, boundary_flux=(F[:, 0].copy(), F[:, -1].copy())), dt

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -488,6 +489,43 @@ def _fv_rows(cfg):
             columns.append(entropy_density_cells(model, snap.data))
         rows += [(float(t), *cell) for cell in zip(*(col.tolist() for col in columns))]
     return rows
+
+
+class TestRepeatedMain:
+    """Many main calls in one process: no call may see another call's flags or state."""
+
+    @staticmethod
+    def run(capsys, out_dir, argv):
+        shutil.rmtree(out_dir, ignore_errors=True)
+        status = main(argv)
+        captured = capsys.readouterr()
+        artifacts = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())} if out_dir.exists() else {}
+        return status, captured.out, captured.err, artifacts
+
+    def test_each_call_matches_its_first_run(self, tmp_path, capsys):
+        a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+        fv = dict(_baro_stationary_shock(), task={"name": "fv-run", "n_cells": 32, "t_final": 0.05})
+        weak = dict(_baro_stationary_shock(), task={"name": "weak-verify", "count": 3, "seed": 1},
+                    output={"dir": str(c)})
+        fv_path = write_config(tmp_path, fv, "fv.json")
+        weak_path = write_config(tmp_path, weak, "weak.json")
+        calls = [
+            (a, ["--out-dir", str(a), "shock-example", "--gamma", "2"]),
+            (b, ["energy-audit", "--gamma", "1.6", "--out-dir", str(b), "--format", "csv"]),
+            (a, ["--out-dir", str(a), "shock-example"]),  # no --gamma after a call with one: exit 3
+            (b, ["rh-solve", "--kind", "ideal_gas_entropy", "--gamma", "1.4", "--left", "1,0,0",
+                 "--rho-right", "2", "--out-dir", str(b)]),
+            (a, ["--config", weak_path, "--seed", "5", "--out-dir", str(a), "--format", "json"]),
+            (c, ["--config", weak_path]),  # no --seed, --out-dir or --format after a call with them
+            (b, ["fv-run", "--config", fv_path, "--out-dir", str(b), "--format", "json,csv"]),
+            (a, ["--out-dir", str(a), "energy-audit", "--gamma", "2"]),
+        ]
+        first = [self.run(capsys, out_dir, argv) for out_dir, argv in calls]
+        assert [r[0] for r in first] == [0, 0, 3, 0, 0, 0, 0, 0]
+        assert first[4][1] != first[5][1]  # the --seed call ran another battery
+        for order in (calls, calls[::-1]):
+            for out_dir, argv in order:
+                assert self.run(capsys, out_dir, argv) == first[calls.index((out_dir, argv))], argv
 
 
 class TestCsvColumns:

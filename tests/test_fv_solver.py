@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+
 from shockaudit.eos import FluidState, GasModel, balance_terms, conserved, energy_density, pressure
 from shockaudit.errors import InvalidStateError, NumericalError
 from shockaudit.fv_solver import (
@@ -188,6 +190,110 @@ class TestKernelAgreement:
         U = np.tile(np.array([[1.0], [0.0]]), (1, 8))
         with pytest.raises(InvalidStateError):
             step(GAMMA2, grid, ConservedField(U), bc="reflecting")
+        # Before any work: a vacuum cell is not reached.
+        U[0, 3] = -1.0
+        with pytest.raises(InvalidStateError, match="boundary condition"):
+            step(GAMMA2, grid, ConservedField(U), bc="reflecting")
+
+
+def _uniform_block(model, n):
+    """(n_comp, n) block of one subsonic state."""
+    state = FluidState(1.2, 0.3, 0.1 if model.carries_entropy else None)
+    k = 3 if model.carries_entropy else 2
+    return np.tile(np.array(conserved(model, state)[:k])[:, None], (1, n))
+
+
+class TestNonFiniteCells:
+    """A NaN or infinite cell is refused by name, never marched into a NaN field or dt."""
+
+    @pytest.mark.parametrize(
+        "model, row, value",
+        [
+            (GAMMA2, 0, math.nan),
+            (IDEAL, 0, math.nan),
+            (GAMMA2, 1, math.inf),
+            (IDEAL, 1, math.inf),
+            (GAMMA2, 1, -math.inf),
+            (IDEAL, 2, math.nan),
+            (IDEAL, 2, math.inf),
+            # u = 0 and c = sqrt(gamma p / rho) = 0: the wave speed alone misses it.
+            (IDEAL, 0, math.inf),
+            (GAMMA2, 0, math.inf),
+        ],
+        ids=[
+            "barotropic-nan-density", "ideal-nan-density", "barotropic-inf-momentum",
+            "ideal-inf-momentum", "barotropic-neg-inf-momentum", "ideal-nan-energy",
+            "ideal-inf-energy", "ideal-inf-density", "barotropic-inf-density",
+        ],
+    )
+    @pytest.mark.parametrize("bc", ["outflow", "periodic"])
+    def test_rejected_at_first_bad_cell(self, model, row, value, bc):
+        grid = Grid1D(0.0, 1.0, 8)
+        U = _uniform_block(model, 8)
+        U[row, 5:7] = value
+        with pytest.raises(NumericalError, match=r"^non-finite [a-z ]+ in cell 5$"):
+            step(model, grid, ConservedField(U), bc=bc)
+
+    def test_simulate_stops_at_a_nan_cell(self):
+        # Not one step into a NaN field that ends the run at t = nan.
+        grid = Grid1D(0.0, 1.0, 8)
+        U = _uniform_block(GAMMA2, 8)
+        U[0, 2] = math.nan
+        with pytest.raises(NumericalError, match="cell 2"):
+            simulate(GAMMA2, grid, ConservedField(U), 0.1)
+
+
+def _supersonic_left_block(n):
+    """Density ripple on u = -3 < -c everywhere (gamma = 2 reference gas)."""
+    x = (np.arange(n) + 0.5) / n
+    rho = 1.0 + 0.1 * np.sin(2.0 * np.pi * x)
+    return np.vstack([rho, -3.0 * rho])
+
+
+def _reference_shock_block(n):
+    sol = stationary_shock_example(2.0)
+    return field_from_solution(sol.model, Grid1D(-1.0, 1.0, n), sol).data
+
+
+class TestStepBitsMatchStackedStep:
+    """The in-place step gives the stacked (vstack, ghost copy, nested where) step's bits."""
+
+    CASES = {
+        "barotropic-outflow": (GAMMA2, lambda: random_block(GAMMA2, 48, seed=11)[0], "outflow", (0.0, 1.0)),
+        "barotropic-periodic": (GAMMA2, lambda: random_block(GAMMA2, 48, seed=12)[0], "periodic", (0.0, 1.0)),
+        "ideal-outflow": (IDEAL, lambda: random_block(IDEAL, 48, seed=13)[0], "outflow", (0.0, 1.0)),
+        "ideal-periodic": (IDEAL, lambda: random_block(IDEAL, 48, seed=14)[0], "periodic", (0.0, 1.0)),
+        # Left of the shock u - c > 0, so S_L >= 0 there: the upwind-left branch.
+        "reference-shock": (GAMMA2, lambda: _reference_shock_block(64), "outflow", (-1.0, 1.0)),
+        # u + c < 0 everywhere, so S_R <= 0 at every interface: the upwind-right branch.
+        "left-supersonic": (GAMMA2, lambda: _supersonic_left_block(48), "periodic", (0.0, 1.0)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_fifty_chained_steps_bit_identical(self, case):
+        model, block, bc, (x_min, x_max) = self.CASES[case]
+        U = block()
+        grid = Grid1D(x_min, x_max, U.shape[1])
+        new = old = ConservedField(U)
+        for _ in range(50):
+            new, dt_new = step(model, grid, new, cfl=0.45, bc=bc)
+            old, dt_old = oracles.stacked_hll_step(model, grid, old, cfl=0.45, bc=bc)
+            assert dt_new == dt_old
+            assert np.array_equal(new.data, old.data)
+            for f_new, f_old in zip(new.boundary_flux, old.boundary_flux):
+                assert np.array_equal(f_new, f_old)
+
+    def test_cases_reach_every_branch(self):
+        # Davis speeds of the two barotropic branch cases, gamma = 2: c^2 = 2 K rho.
+        K = GAMMA2.K
+        for case, branch in (("reference-shock", "left"), ("left-supersonic", "right")):
+            U = self.CASES[case][1]()
+            u = U[1] / U[0]
+            c = np.sqrt(2.0 * K * U[0])
+            if branch == "left":
+                assert np.any(u - c > 0.0) and np.any(u - c < 0.0)
+            else:
+                assert np.all(u + c < 0.0)
 
 
 class TestFieldFromSolution:
