@@ -438,6 +438,14 @@ class TestFvRunValidation:
         assert "conservation" in record["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("t_final", [1e-15, 1e-20])
+    def test_tiny_t_final_is_run(self, tmp_path, t_final):
+        # Absolute 1e-14 time tolerances used to take no step and report t_final 0.
+        assert main(["--config", write_config(tmp_path, self.config(tmp_path, {"t_final": t_final}))]) == 0
+        summary = read_summary(tmp_path, "fv_run")
+        assert summary["n_steps"] >= 1
+        assert summary["t_final"] == pytest.approx(t_final, rel=1e-12)
+
     def test_limit_values_accepted(self, tmp_path):
         task = {"n_cells": 4, "cfl": 1.0, "snapshots": 0, "k_sample": 1, "track_shock": False, "bc": "periodic"}
         cfg = parse_config(json.dumps(self.config(tmp_path, task, tolerances={"conservation": 1})))

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 
+from shockaudit import fv_solver
 from shockaudit.eos import FluidState, GasModel, balance_terms, conserved, energy_density, pressure
 from shockaudit.errors import InvalidStateError, NumericalError
 from shockaudit.fv_solver import (
@@ -19,7 +20,7 @@ from shockaudit.fv_solver import (
     state_at_cell,
     step,
 )
-from shockaudit.rh import ShockJump, entropy_admissible, hugoniot_solve_barotropic
+from shockaudit.rh import ShockJump, entropy_admissible, hugoniot_solve_barotropic, hugoniot_solve_full
 from shockaudit.shock1d import Domain1D, PiecewiseShockSolution, evaluate, stationary_shock_example
 
 GAMMA2 = GasModel.barotropic(K=2.0 / 3.0, gamma=2.0)
@@ -234,6 +235,18 @@ class TestNonFiniteCells:
         with pytest.raises(NumericalError, match=r"^non-finite [a-z ]+ in cell 5$"):
             step(model, grid, ConservedField(U), bc=bc)
 
+    @pytest.mark.parametrize("bc", ["outflow", "periodic"])
+    def test_overflowing_update_named_at_its_cell(self, bc):
+        # Cell 9 is a valid state whose energy flux (E + p) u overflows, so
+        # the update leaves cells 8-10 non-finite: the check after the update
+        # names cell 8 of the grid, not the first cell of the active window.
+        grid = Grid1D(0.0, 1.0, 16)
+        U = _uniform_block(IDEAL, 16)
+        U[:, 9] = conserved(IDEAL, FluidState(1.0, 1e103, 475.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"^non-finite internal energy in cell 8$"):
+                step(IDEAL, grid, ConservedField(U), bc=bc)
+
     def test_simulate_stops_at_a_nan_cell(self):
         # Not one step into a NaN field that ends the run at t = nan.
         grid = Grid1D(0.0, 1.0, 8)
@@ -250,32 +263,74 @@ def _supersonic_left_block(n):
     return np.vstack([rho, -3.0 * rho])
 
 
-def _reference_shock_block(n):
-    sol = stationary_shock_example(2.0)
-    return field_from_solution(sol.model, Grid1D(-1.0, 1.0, n), sol).data
+def _plateau_block(model, grid, states, positions):
+    """field_from_solution of constant states split at the given positions (no jump check)."""
+    sol = PiecewiseShockSolution(
+        model=model,
+        states=states,
+        shock_positions_t0=positions,
+        shock_speeds=(0.0,) * len(positions),
+        domain=Domain1D(grid.x_min, grid.x_max),
+        validate=False,
+    )
+    return field_from_solution(model, grid, sol).data
+
+
+def _euler_moving_shock(grid):
+    left = FluidState(1.0, 0.0, math.log(1.0 / 0.4))
+    u_r, s_r, v_s = hugoniot_solve_full(left, 2.0, IDEAL)
+    sol = PiecewiseShockSolution(
+        model=IDEAL,
+        states=(left, FluidState(2.0, u_r, s_r)),
+        shock_positions_t0=(0.0,),
+        shock_speeds=(v_s,),
+        domain=Domain1D(grid.x_min, grid.x_max),
+    )
+    return field_from_solution(IDEAL, grid, sol).data
+
+
+REF = stationary_shock_example(2.0)
+# A density pulse riding on a uniform flow: the two end cells are equal.
+PULSE_STATES = (FluidState(1.0, 0.5), FluidState(1.3, 0.5), FluidState(1.0, 0.5))
 
 
 class TestStepBitsMatchStackedStep:
-    """The in-place step gives the stacked (vstack, ghost copy, nested where) step's bits."""
+    """The windowed in-place step gives the full-grid stacked (vstack, ghost
+    copy, nested where) step's bits."""
 
+    # name: (model, grid, bc, initial block of the grid)
     CASES = {
-        "barotropic-outflow": (GAMMA2, lambda: random_block(GAMMA2, 48, seed=11)[0], "outflow", (0.0, 1.0)),
-        "barotropic-periodic": (GAMMA2, lambda: random_block(GAMMA2, 48, seed=12)[0], "periodic", (0.0, 1.0)),
-        "ideal-outflow": (IDEAL, lambda: random_block(IDEAL, 48, seed=13)[0], "outflow", (0.0, 1.0)),
-        "ideal-periodic": (IDEAL, lambda: random_block(IDEAL, 48, seed=14)[0], "periodic", (0.0, 1.0)),
+        "barotropic-outflow": (GAMMA2, Grid1D(0.0, 1.0, 48), "outflow",
+                               lambda g: random_block(GAMMA2, 48, seed=11)[0]),
+        "barotropic-periodic": (GAMMA2, Grid1D(0.0, 1.0, 48), "periodic",
+                                lambda g: random_block(GAMMA2, 48, seed=12)[0]),
+        "ideal-outflow": (IDEAL, Grid1D(0.0, 1.0, 48), "outflow", lambda g: random_block(IDEAL, 48, seed=13)[0]),
+        "ideal-periodic": (IDEAL, Grid1D(0.0, 1.0, 48), "periodic", lambda g: random_block(IDEAL, 48, seed=14)[0]),
         # Left of the shock u - c > 0, so S_L >= 0 there: the upwind-left branch.
-        "reference-shock": (GAMMA2, lambda: _reference_shock_block(64), "outflow", (-1.0, 1.0)),
+        "reference-shock": (REF.model, Grid1D(-1.0, 1.0, 256), "outflow",
+                            lambda g: field_from_solution(REF.model, g, REF).data),
         # u + c < 0 everywhere, so S_R <= 0 at every interface: the upwind-right branch.
-        "left-supersonic": (GAMMA2, lambda: _supersonic_left_block(48), "periodic", (0.0, 1.0)),
+        "left-supersonic": (GAMMA2, Grid1D(0.0, 1.0, 48), "periodic", lambda g: _supersonic_left_block(48)),
+        "euler-moving-shock": (IDEAL, Grid1D(-1.6, 0.4, 128), "outflow", _euler_moving_shock),
+        "uniform-outflow": (GAMMA2, Grid1D(0.0, 1.0, 64), "outflow", lambda g: _uniform_block(GAMMA2, 64)),
+        "uniform-periodic": (IDEAL, Grid1D(0.0, 1.0, 64), "periodic", lambda g: _uniform_block(IDEAL, 64)),
+        "left-boundary": (REF.model, Grid1D(-1.0, 1.0, 128), "outflow",
+                          lambda g: _plateau_block(REF.model, g, REF.states, (g.x_min + 1.5 * g.dx,))),
+        "right-boundary": (REF.model, Grid1D(-1.0, 1.0, 128), "outflow",
+                           lambda g: _plateau_block(REF.model, g, REF.states, (g.x_max - 1.5 * g.dx,))),
+        # The pulse reaches the seam after about 50 steps: equal end cells
+        # first, then a wrapped whole-grid step.
+        "periodic-uniform-seam": (GAMMA2, Grid1D(0.0, 1.0, 128), "periodic",
+                                  lambda g: _plateau_block(GAMMA2, g, PULSE_STATES, (0.4, 0.6))),
+        "periodic-nonuniform-seam": (REF.model, Grid1D(-1.0, 1.0, 128), "periodic",
+                                     lambda g: field_from_solution(REF.model, g, REF).data),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_fifty_chained_steps_bit_identical(self, case):
-        model, block, bc, (x_min, x_max) = self.CASES[case]
-        U = block()
-        grid = Grid1D(x_min, x_max, U.shape[1])
-        new = old = ConservedField(U)
-        for _ in range(50):
+    def test_two_hundred_chained_steps_bit_identical(self, case):
+        model, grid, bc, block = self.CASES[case]
+        new = old = ConservedField(block(grid))
+        for _ in range(200):
             new, dt_new = step(model, grid, new, cfl=0.45, bc=bc)
             old, dt_old = oracles.stacked_hll_step(model, grid, old, cfl=0.45, bc=bc)
             assert dt_new == dt_old
@@ -285,18 +340,97 @@ class TestStepBitsMatchStackedStep:
 
     def test_cases_reach_every_branch(self):
         # Davis speeds of the two barotropic branch cases, gamma = 2: c^2 = 2 K rho.
-        K = GAMMA2.K
         for case, branch in (("reference-shock", "left"), ("left-supersonic", "right")):
-            U = self.CASES[case][1]()
+            model, grid, _, block = self.CASES[case]
+            U = block(grid)
             u = U[1] / U[0]
-            c = np.sqrt(2.0 * K * U[0])
+            c = np.sqrt(2.0 * model.K * U[0])
             if branch == "left":
                 assert np.any(u - c > 0.0) and np.any(u - c < 0.0)
             else:
                 assert np.all(u + c < 0.0)
 
+    @pytest.mark.parametrize(
+        "case, start, end",
+        [
+            ("reference-shock", (127, 129, False), None),
+            ("uniform-outflow", (0, 1, False), (0, 1, False)),
+            ("uniform-periodic", (0, 1, False), (0, 1, False)),
+            ("left-boundary", (0, 3, False), None),
+            ("right-boundary", (125, 128, False), None),
+            ("periodic-uniform-seam", (50, 78, False), (0, 128, True)),
+            ("periodic-nonuniform-seam", (0, 128, True), (0, 128, True)),
+        ],
+    )
+    def test_cases_reach_their_window(self, case, start, end):
+        # (lo, hi, wrap) before the first and after the last of 200 steps.
+        model, grid, bc, block = self.CASES[case]
+        fld = ConservedField(block(grid))
+        assert fv_solver._active_window(fld.data, bc) == start
+        for _ in range(200):
+            fld, _ = step(model, grid, fld, bc=bc)
+        if end is not None:
+            assert fv_solver._active_window(fld.data, bc) == end
+
+    def test_uniform_field_is_unchanged(self):
+        grid = Grid1D(0.0, 1.0, 64)
+        U = _uniform_block(IDEAL, 64)
+        fld, _ = step(IDEAL, grid, ConservedField(U))
+        assert np.array_equal(fld.data, U)
+
+    def test_mid_run_step_passes_few_cells(self, monkeypatch):
+        grid = Grid1D(-1.0, 1.0, 3200)
+        fld = simulate(REF.model, grid, field_from_solution(REF.model, grid, REF), 0.025).field
+        primitives = fv_solver._primitives
+        widths = []
+
+        def spy(model, U):
+            widths.append(U.shape[1])
+            return primitives(model, U)
+
+        monkeypatch.setattr(fv_solver, "_primitives", spy)
+        step(REF.model, grid, fld)
+        assert len(widths) == 1
+        assert widths[0] < 0.1 * grid.n_cells
+
+
+class TestTinyRunLength:
+    @pytest.mark.parametrize("t_final", [1e-15, 1e-20])
+    def test_takes_a_step_and_reaches_t_final(self, t_final):
+        # Absolute 1e-14 time tolerances used to end such a run at t = 0.
+        grid = Grid1D(-1.0, 1.0, 64)
+        snaps = [0.0, 0.5 * t_final, t_final]
+        result = simulate(REF.model, grid, field_from_solution(REF.model, grid, REF), t_final, snapshot_times=snaps)
+        assert result.n_steps >= 1
+        assert result.t == pytest.approx(t_final, rel=1e-12)
+        assert [t for t, _ in result.snapshots] == pytest.approx(snaps, rel=1e-12)
+
 
 class TestFieldFromSolution:
+    @pytest.mark.parametrize(
+        "model, grid, states, x_s",
+        [
+            (REF.model, Grid1D(-1.0, 1.0, 50), REF.states, 0.123),
+            # x_min + n dx overshoots x_max by one ulp on this grid.
+            (IDEAL, Grid1D(-1.2, 0.4, 64), (FluidState(1.0, 0.0, 0.9), FluidState(2.0, -0.7, 1.1)), -0.3),
+        ],
+        ids=["two-components", "three-components"],
+    )
+    def test_plateaus_exact_and_cut_cell_weighted(self, model, grid, states, x_s):
+        U = _plateau_block(model, grid, states, (x_s,))
+        k = U.shape[0]
+        values = [np.array(conserved(model, st)[:k]) for st in states]
+        edges = grid.interfaces()
+        cut = int(np.searchsorted(edges, x_s)) - 1
+        assert edges[cut] < x_s < edges[cut + 1]
+        for cells, value in ((slice(0, cut), values[0]), (slice(cut + 1, None), values[1])):
+            assert np.array_equal(U[:, cells], np.broadcast_to(value[:, None], U[:, cells].shape))
+        width = edges[cut + 1] - edges[cut]
+        mixed = (x_s - edges[cut]) / width * values[0] + (edges[cut + 1] - x_s) / width * values[1]
+        np.testing.assert_allclose(U[:, cut], mixed, rtol=1e-14)
+        exact = (x_s - grid.x_min) * values[0] + (grid.x_max - x_s) * values[1]
+        np.testing.assert_allclose(ConservedField(U).totals(grid), exact, rtol=1e-14)
+
     def test_cell_averages_preserve_totals(self):
         sol = stationary_shock_example(2.0)
         grid = Grid1D(-1.0, 1.0, 50)
