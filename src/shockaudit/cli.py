@@ -25,7 +25,8 @@ from .errors import (
     InvalidStateError,
     ShockAuditError,
 )
-from .fv_solver import Grid1D, entropy_density_cells, field_from_solution, measure_shock, simulate
+from .fv_solver import Grid1D, ShockTrack, Snapshots, entropy_density_cells, field_from_solution
+from .fv_solver import measure_shock, simulate
 from .lagrangian_maps import augmented_energy_rate, calibrate_lambda, calibrated_flow_map
 from .rh import hugoniot_solve_barotropic, hugoniot_solve_full, rh_residuals, ShockJump
 from .shock1d import stationary_shock_example, volume_potential_mismatch
@@ -46,12 +47,13 @@ def _setup_logging():
 
 
 def _parse_state_flag(text: str) -> dict:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) == 2:
-        return {"rho": parts[0], "u": parts[1]}
-    if len(parts) == 3:
-        return {"rho": parts[0], "u": parts[1], "s": parts[2]}
-    raise ConfigError(f"state flag needs 'rho,u' or 'rho,u,s', got {text!r}")
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) not in (2, 3):
+        raise ConfigError(f"--left needs numbers 'rho,u' or 'rho,u,s', got {text!r}")
+    return dict(zip(("rho", "u", "s"), parts))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,13 +115,9 @@ def _resolve_config(args) -> RunConfig:
         if not args.task:
             raise ConfigError("no task given: pass a subcommand or --config")
         task: dict = {"name": args.task}
-        if args.task == "shock-example":
+        if args.task in ("shock-example", "energy-audit"):
             if args.gamma is None:
-                raise ConfigError("shock-example needs --gamma (or a config file)")
-            task["gamma"] = args.gamma
-        elif args.task == "energy-audit":
-            if args.gamma is None:
-                raise ConfigError("energy-audit needs --gamma (or a config file)")
+                raise ConfigError(f"{args.task} needs --gamma (or a config file)")
             task["gamma"] = args.gamma
         elif args.task == "rh-solve":
             if args.left is None or args.rho_right is None:
@@ -193,10 +191,6 @@ def _csv_text(header, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _model_for_example(sol):
-    return cfgmod.model_to_dict(sol.model)
-
-
 def _run_shock_example(cfg: RunConfig):
     gamma = float(cfg.task["gamma"])
     sol = stationary_shock_example(gamma)
@@ -214,7 +208,7 @@ def _run_shock_example(cfg: RunConfig):
         "length_rate": neg_dvdt,
         "gap": gap,
         "residuals": residuals[0].as_dict(),
-        "model": _model_for_example(sol),
+        "model": cfgmod.model_to_dict(sol.model),
         "solution": cfgmod.solution_to_dict(sol),
         "audit": {"max_residual": worst, "tolerance": tol, "pass": worst <= tol},
     }
@@ -226,7 +220,7 @@ def _run_shock_example(cfg: RunConfig):
         ("gap", gap),
         ("max_residual", worst),
     ]
-    return summary, ("quantity", "value"), list(zip(*rows)), summary["audit"]["pass"]
+    return summary, ("quantity", "value"), list(zip(*rows))
 
 
 def _run_energy_audit(cfg: RunConfig):
@@ -258,7 +252,7 @@ def _run_energy_audit(cfg: RunConfig):
         ("lambda_right", lam_r),
         ("augmented_rate", aug),
     ]
-    return summary, ("quantity", "value"), list(zip(*rows)), summary["audit"]["pass"]
+    return summary, ("quantity", "value"), list(zip(*rows))
 
 
 def _run_rh_solve(cfg: RunConfig):
@@ -299,44 +293,36 @@ def _run_rh_solve(cfg: RunConfig):
         audit={"max_residual": worst, "tolerance": tol, "pass": worst <= tol},
     )
     rows = list(summary["residuals"].items())
-    return summary, ("quantity", "value"), list(zip(*rows)), summary["audit"]["pass"]
+    return summary, ("quantity", "value"), list(zip(*rows))
 
 
 def _run_fv(cfg: RunConfig):
     model = cfg.model
     sol = cfg.solution
     task = cfg.task
-    n_cells = task.get("n_cells", 400)
-    t_final = float(task.get("t_final", 0.5))
-    cfl = float(task.get("cfl", 0.45))
-    bc = task.get("bc", "outflow")
-    n_snaps = task.get("snapshots", 3)
-    track = task.get("track_shock", True)
-    k_sample = task.get("k_sample", 6)
+    t_final = float(task["t_final"])
 
-    grid = Grid1D(sol.domain.x_min, sol.domain.x_max, n_cells)
+    grid = Grid1D(sol.domain.x_min, sol.domain.x_max, task["n_cells"])
     field0 = field_from_solution(model, grid, sol)
-    snap_times = list(np.linspace(0.0, t_final, n_snaps)) if n_snaps > 0 else []
+    snaps = Snapshots(np.linspace(0.0, t_final, task["snapshots"]), t_final)
+    track = ShockTrack(grid)
     result = simulate(
-        model, grid, field0, t_final, cfl=cfl, bc=bc,
-        track_shock=track, snapshot_times=snap_times,
+        model, grid, field0, t_final, cfl=float(task["cfl"]), bc=task["bc"],
+        observers=[snaps, track] if task["track_shock"] else [snaps],
     )
-    measurement = measure_shock(
-        model, grid, result.field,
-        trajectory=result.trajectory if track else None, k=k_sample,
-    )
+    measurement = measure_shock(model, grid, result.field, trajectory=track.points, k=task["k_sample"])
     tol = cfg.tolerances["conservation"]
     drift = float(np.max(result.conservation_drift))
     summary = {
         "task": "fv-run",
-        "n_cells": n_cells,
+        "n_cells": task["n_cells"],
         "t_final": result.t,
         "n_steps": result.n_steps,
         "conservation_drift": {
             comp: float(d)
             for comp, d in zip(("mass", "momentum", "energy"), result.conservation_drift)
         },
-        "shock_position_series": [[t, x] for t, x in result.trajectory],
+        "shock_position_series": [[t, x] for t, x in track.points],
         "measured_residuals": measurement.residual.as_dict(),
         "measured_position": measurement.position,
         "measured_v_s": measurement.v_s,
@@ -347,7 +333,7 @@ def _run_fv(cfg: RunConfig):
     header = ("t", "x", "rho", "u", "s") if model.carries_entropy else ("t", "x", "rho", "u")
     blocks = []
     centers = grid.centers()
-    for t, snap in result.snapshots:
+    for t, snap in snaps.taken:
         rho = snap.data[0]
         block = [np.full(grid.n_cells, float(t)), centers, rho, snap.data[1] / rho]
         if model.carries_entropy:
@@ -356,7 +342,7 @@ def _run_fv(cfg: RunConfig):
     # One float64 array per header name, snapshots one after another; with
     # no snapshots there are no columns and the CSV is the header alone.
     columns = [np.concatenate(parts) for parts in zip(*blocks)]
-    return summary, header, columns, summary["audit"]["pass"]
+    return summary, header, columns
 
 
 def _run_weak_verify(cfg: RunConfig):
@@ -394,7 +380,7 @@ def _run_weak_verify(cfg: RunConfig):
         "audit": {"max_abs_residual": worst, "tolerance": tol, "pass": worst <= tol},
     }
     header = ("component", "t0", "x0", "rt", "rx", "residual")
-    return summary, header, list(zip(*rows)), summary["audit"]["pass"]
+    return summary, header, list(zip(*rows))
 
 
 _TASKS = {
@@ -432,9 +418,9 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         log.debug("running task %s", cfg.task_name)
-        summary, header, columns, passed = _TASKS[cfg.task_name](cfg)
+        summary, header, columns = _TASKS[cfg.task_name](cfg)
         _emit(cfg, summary, header, columns)
-        return EXIT_OK if passed else EXIT_AUDIT
+        return EXIT_OK if summary["audit"]["pass"] else EXIT_AUDIT
     except ConfigParseError as exc:
         sys.stderr.write(_error_record(EXIT_PARSE, "parse", str(exc)))
         return EXIT_PARSE

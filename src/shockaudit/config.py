@@ -25,13 +25,16 @@ TOLERANCE_DEFAULTS = {
     "augmented": 1e-12,
 }
 
+FV_DEFAULTS = {"n_cells": 400, "t_final": 0.5, "cfl": 0.45, "bc": "outflow", "snapshots": 3,
+               "track_shock": True, "k_sample": 6}
+
 TASK_NAMES = ("rh-solve", "shock-example", "energy-audit", "fv-run", "weak-verify")
 
 _TASK_KEYS = {
     "rh-solve": {"name", "left", "rho_right", "branch", "jump"},
     "shock-example": {"name", "gamma"},
     "energy-audit": {"name", "gamma"},
-    "fv-run": {"name", "n_cells", "t_final", "cfl", "bc", "snapshots", "track_shock", "k_sample"},
+    "fv-run": {"name", *FV_DEFAULTS},
     "weak-verify": {"name", "components", "count", "seed", "order", "panels", "bumps"},
 }
 
@@ -96,15 +99,13 @@ def _validate_fv_task(task: dict) -> None:
     _require_int(task, "n_cells", 4)
     _require_int(task, "snapshots", 0)
     _require_int(task, "k_sample", 1)
-    t_final = task.get("t_final", 0.5)
-    if not (_is_real(t_final) and t_final > 0.0):
-        raise ConfigError(f"task.t_final must be a finite number > 0, got {t_final!r}")
-    cfl = task.get("cfl", 0.45)
-    if not (_is_real(cfl) and 0.0 < cfl <= 1.0):
-        raise ConfigError(f"task.cfl must be a finite number in (0, 1], got {cfl!r}")
-    if not isinstance(task.get("track_shock", True), bool):
+    if not (_is_real(task["t_final"]) and task["t_final"] > 0.0):
+        raise ConfigError(f"task.t_final must be a finite number > 0, got {task['t_final']!r}")
+    if not (_is_real(task["cfl"]) and 0.0 < task["cfl"] <= 1.0):
+        raise ConfigError(f"task.cfl must be a finite number in (0, 1], got {task['cfl']!r}")
+    if not isinstance(task["track_shock"], bool):
         raise ConfigError(f"task.track_shock must be true or false, got {task['track_shock']!r}")
-    if task.get("bc", "outflow") not in ("outflow", "periodic"):
+    if task["bc"] not in ("outflow", "periodic"):
         raise ConfigError(f"task.bc must be 'outflow' or 'periodic', got {task['bc']!r}")
 
 
@@ -263,6 +264,7 @@ def validate_config(raw: dict) -> RunConfig:
     if name == "weak-verify":
         _validate_weak_task(task_block)
     elif name == "fv-run":
+        task_block = {**FV_DEFAULTS, **task_block}
         _validate_fv_task(task_block)
 
     tolerances = dict(TOLERANCE_DEFAULTS)

@@ -8,7 +8,7 @@ against the algebraic jump conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,10 @@ from .eos import (
 from .errors import InvalidStateError, NumericalError
 from .rh import RhResidual, ShockJump, rh_residuals
 from .shock1d import PiecewiseShockSolution
+
+ISOLATION = 5.0  # locate_shock's gate on the steepest density gradient
+MAX_STEPS = 2_000_000  # simulate's step budget
+TIME_TOL = 1e-14  # simulate's time tolerance, relative to t_final
 
 
 @dataclass(frozen=True)
@@ -66,13 +70,6 @@ class ConservedField:
     @property
     def n_comp(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def n_cells(self) -> int:
-        return self.data.shape[1]
-
-    def copy(self) -> "ConservedField":
-        return ConservedField(self.data.copy())
 
     def totals(self, grid: Grid1D) -> np.ndarray:
         return self.data.sum(axis=1) * grid.dx
@@ -312,13 +309,12 @@ def state_at_cell(model: GasModel, field: ConservedField, i: int) -> FluidState:
 def locate_shock(
     grid: Grid1D,
     field: ConservedField,
-    isolation: float = 5.0,
     require_isolated: bool = True,
 ) -> tuple[int, float]:
     """(steep interface index, subcell position) of the dominant discontinuity.
 
     With require_isolated the steepest density gradient must exceed every
-    gradient outside its 3-cell neighborhood by the isolation factor
+    gradient outside its 3-cell neighborhood by the ISOLATION factor
     (trajectory tracking during start-up transients disables the gate); the
     subcell position is the point where plateau densities reproduce the
     window's conserved mass.
@@ -332,7 +328,7 @@ def locate_shock(
     if require_isolated:
         mask = np.ones_like(g, dtype=bool)
         mask[max(0, i_star - 3): i_star + 4] = False
-        if mask.any() and g[i_star] < isolation * float(np.max(g[mask])):
+        if mask.any() and g[i_star] < ISOLATION * float(np.max(g[mask])):
             raise NumericalError("no isolated discontinuity dominates the density gradients")
 
     k = 6
@@ -362,13 +358,13 @@ def measure_shock(
     model: GasModel,
     grid: Grid1D,
     field: ConservedField,
-    trajectory=None,
+    trajectory=(),
     k: int = 6,
 ) -> ShockMeasurement:
     """Sample the captured shock k cells away from the interface and audit it.
 
-    trajectory is an optional sequence of (t, position) pairs; the speed is
-    its least-squares slope.  Without it the shock is assumed stationary.
+    trajectory is a sequence of (t, position) pairs; the speed is its
+    least-squares slope.  With fewer than two the shock is assumed stationary.
     """
     i_star, x_s = locate_shock(grid, field)
     i_l = i_star - k
@@ -377,12 +373,10 @@ def measure_shock(
         raise NumericalError("discontinuity too close to the boundary to sample plateaus")
     left = state_at_cell(model, field, i_l)
     right = state_at_cell(model, field, i_r)
-    if trajectory is not None and len(trajectory) >= 2:
-        ts = np.asarray([p[0] for p in trajectory])
-        xs = np.asarray([p[1] for p in trajectory])
+    v_s = 0.0
+    if len(trajectory) >= 2:
+        ts, xs = np.asarray(trajectory).T
         v_s = float(np.polyfit(ts, xs, 1)[0])
-    else:
-        v_s = 0.0
     jump = ShockJump(left=left, right=right, n=1.0, v_s=v_s)
     return ShockMeasurement(
         position=x_s,
@@ -393,15 +387,44 @@ def measure_shock(
     )
 
 
+class ShockTrack:
+    """Observer: (t, shock position) points at the start, every 20 steps and at the end."""
+
+    def __init__(self, grid: Grid1D):
+        self.grid = grid
+        self.points = []
+
+    def __call__(self, n, t, dt, field, last):
+        if n % 20 == 0 or last:
+            self.points.append((t, locate_shock(self.grid, field, require_isolated=False)[1]))
+
+
+class Snapshots:
+    """Observer: (t, field) once t reaches each of times to within TIME_TOL t_final.
+
+    times keeps the ones not yet taken, in order.  All times up to the
+    tolerance are taken at t = 0; later a step takes at most one.
+    """
+
+    def __init__(self, times, t_final: float):
+        self.times = sorted(times)
+        self.tol = TIME_TOL * t_final
+        self.taken = []
+
+    def __call__(self, n, t, dt, field, last):
+        while self.times and t >= self.times[0] - self.tol:
+            self.taken.append((t, field))
+            self.times.pop(0)
+            if n > 0:
+                break
+
+
 @dataclass
 class SimulationResult:
     field: ConservedField
     t: float
     n_steps: int
-    initial_totals: np.ndarray
     conservation_drift: np.ndarray
-    trajectory: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
 
 
 def simulate(
@@ -411,58 +434,45 @@ def simulate(
     t_final: float,
     cfl: float = 0.45,
     bc: str = "outflow",
-    track_shock: bool = False,
-    track_every: int = 20,
-    snapshot_times=(),
-    max_steps: int = 2_000_000,
+    observers=(),
 ) -> SimulationResult:
-    """March to t_final, recording a conservation budget and optional extras.
+    """March to t_final, recording a conservation budget and calling the observers.
+
+    observer(n, t, dt, field, last) is called before the first step (n = 0,
+    dt = 0) and after every step n; last is true after the final step.  An
+    observer may keep field (step never modifies its input); the step's
+    interface fluxes are field.boundary_flux.  A step ends exactly at
+    observer.times[0] when that lies ahead.  Times within TIME_TOL t_final
+    of each other count as equal, however small t_final is.
 
     The drift per component is |total(t) - total(0) + accumulated boundary
     flux|, normalized by max(|total(0)|, 1); it stays at roundoff for any
-    run, boundary type included.  Times within 1e-14 t_final of each other
-    count as equal, however small t_final is.
+    run, boundary type included.
     """
-    fld = field0.copy()
+    fld = field0
     totals0 = fld.totals(grid)
     boundary_budget = np.zeros(fld.n_comp)
-    trajectory = []
-    snapshots = []
-    pending = sorted(snapshot_times)
+    stops = [obs for obs in observers if hasattr(obs, "times")]
     t = 0.0
     n = 0
-    tol = 1e-14 * t_final
-    while pending and pending[0] <= tol:
-        snapshots.append((0.0, fld.copy()))
-        pending.pop(0)
-    if track_shock:
-        trajectory.append((t, locate_shock(grid, fld, require_isolated=False)[1]))
+    tol = TIME_TOL * t_final
+    for observe in observers:
+        observe(n, t, 0.0, fld, False)
     while t < t_final - tol:
         dt_cap = t_final - t
-        if pending:
-            dt_cap = min(dt_cap, pending[0] - t) if pending[0] > t + tol else dt_cap
+        for obs in stops:
+            if obs.times and obs.times[0] > t + tol:
+                dt_cap = min(dt_cap, obs.times[0] - t)
         fld, dt = step(model, grid, fld, cfl=cfl, bc=bc, dt_max=dt_cap)
         f_in, f_out = fld.boundary_flux
         boundary_budget += dt * (f_out - f_in)
         t += dt
         n += 1
-        if pending and t >= pending[0] - tol:
-            snapshots.append((t, fld.copy()))
-            pending.pop(0)
-        if track_shock and (n % track_every == 0):
-            trajectory.append((t, locate_shock(grid, fld, require_isolated=False)[1]))
-        if n >= max_steps:
+        last = not t < t_final - tol
+        for observe in observers:
+            observe(n, t, dt, fld, last)
+        if n >= MAX_STEPS:
             raise NumericalError(f"step budget exhausted at t={t}")
-    if track_shock and (not trajectory or trajectory[-1][0] < t):
-        trajectory.append((t, locate_shock(grid, fld, require_isolated=False)[1]))
     drift = np.abs(fld.totals(grid) - totals0 + boundary_budget)
     drift /= np.maximum(np.abs(totals0), 1.0)
-    return SimulationResult(
-        field=fld,
-        t=t,
-        n_steps=n,
-        initial_totals=totals0,
-        conservation_drift=drift,
-        trajectory=trajectory,
-        snapshots=snapshots,
-    )
+    return SimulationResult(field=fld, t=t, n_steps=n, conservation_drift=drift)

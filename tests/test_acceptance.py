@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from shockaudit.eos import FluidState, GasModel, specific_entropy
-from shockaudit.fv_solver import Grid1D, field_from_solution, measure_shock, simulate
+from shockaudit.fv_solver import Grid1D, ShockTrack, field_from_solution, measure_shock, simulate
 from shockaudit.lagrangian_maps import (
     augmented_energy_rate,
     augmented_jump_residual,
@@ -155,8 +155,9 @@ def test_criterion_7_oracle_triangle():
     t0 = time.monotonic()
     sol = stationary_shock_example(2.0)
     grid = Grid1D(-1.0, 1.0, 3200)
-    result = simulate(sol.model, grid, field_from_solution(sol.model, grid, sol), 0.5, track_shock=True)
-    meas = measure_shock(sol.model, grid, result.field, trajectory=result.trajectory)
+    track = ShockTrack(grid)
+    result = simulate(sol.model, grid, field_from_solution(sol.model, grid, sol), 0.5, observers=[track])
+    meas = measure_shock(sol.model, grid, result.field, trajectory=track.points)
     drift = float(np.max(result.conservation_drift))
     residual_norm = meas.residual.conserved_max_abs()
     position_drift = abs(meas.position - 0.0)

@@ -22,7 +22,7 @@ from shockaudit.config import (
 )
 from shockaudit.eos import FluidState, GasModel
 from shockaudit.errors import ConfigError
-from shockaudit.fv_solver import Grid1D, entropy_density_cells, field_from_solution, simulate
+from shockaudit.fv_solver import Grid1D, ShockTrack, Snapshots, entropy_density_cells, field_from_solution, simulate
 from shockaudit.rh import ShockJump, hugoniot_solve_full
 from shockaudit.shock1d import stationary_shock_example
 from shockaudit.weakcheck import SpacetimeQuadrature, standard_battery, weak_residual
@@ -145,6 +145,16 @@ class TestRhSolve:
         argv = ["--out-dir", str(tmp_path / "out"), "rh-solve", "--left", "1,2", "--rho-right", "2"]
         assert main(argv + flags) == 3
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "validation"
+
+    @pytest.mark.parametrize("left", ["abc,1", "1,", ",", "1,2,3,4"])
+    def test_malformed_left_is_validation_error(self, tmp_path, capsys, left):
+        # float() of a part used to raise ValueError out of main: a traceback and exit 1.
+        argv = ["--out-dir", str(tmp_path / "out"), "rh-solve", "--left", left, "--rho-right", "2"]
+        assert main(argv) == 3
+        record = json.loads(capsys.readouterr().err)["error"]
+        assert record["kind"] == "validation"
+        assert "--left" in record["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_jump_audit_is_validation_error(self, tmp_path, capsys):
         cfg = {
@@ -446,6 +456,14 @@ class TestFvRunValidation:
         assert summary["n_steps"] >= 1
         assert summary["t_final"] == pytest.approx(t_final, rel=1e-12)
 
+    def test_defaults_filled_once(self, tmp_path):
+        cfg = self.config(tmp_path)
+        cfg["task"] = {"name": "fv-run"}
+        task = parse_config(json.dumps(cfg)).task
+        assert task == {"name": "fv-run", "n_cells": 400, "t_final": 0.5, "cfl": 0.45, "bc": "outflow",
+                        "snapshots": 3, "track_shock": True, "k_sample": 6}
+        assert cfg["task"] == {"name": "fv-run"}
+
     def test_limit_values_accepted(self, tmp_path):
         task = {"n_cells": 4, "cfl": 1.0, "snapshots": 0, "k_sample": 1, "track_shock": False, "bc": "periodic"}
         cfg = parse_config(json.dumps(self.config(tmp_path, task, tolerances={"conservation": 1})))
@@ -485,12 +503,14 @@ def _fv_rows(cfg):
     model, sol, task = run.model, run.solution, run.task
     grid = Grid1D(sol.domain.x_min, sol.domain.x_max, task["n_cells"])
     times = list(np.linspace(0.0, task["t_final"], task["snapshots"])) if task["snapshots"] else []
-    result = simulate(
+    snapshots = Snapshots(times, task["t_final"])
+    observers = [snapshots, ShockTrack(grid)] if task["track_shock"] else [snapshots]
+    simulate(
         model, grid, field_from_solution(model, grid, sol), task["t_final"], cfl=task["cfl"],
-        bc=task["bc"], track_shock=task["track_shock"], snapshot_times=times,
+        bc=task["bc"], observers=observers,
     )
     rows = []
-    for t, snap in result.snapshots:
+    for t, snap in snapshots.taken:
         rho = snap.data[0]
         columns = [grid.centers(), rho, snap.data[1] / rho]
         if model.carries_entropy:

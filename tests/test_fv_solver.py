@@ -11,6 +11,8 @@ from shockaudit.errors import InvalidStateError, NumericalError
 from shockaudit.fv_solver import (
     ConservedField,
     Grid1D,
+    ShockTrack,
+    Snapshots,
     entropy_density_cells,
     field_from_solution,
     flux,
@@ -338,6 +340,19 @@ class TestStepBitsMatchStackedStep:
             for f_new, f_old in zip(new.boundary_flux, old.boundary_flux):
                 assert np.array_equal(f_new, f_old)
 
+    @pytest.mark.parametrize("case, wrap", [("reference-shock", False), ("periodic-nonuniform-seam", True)])
+    def test_step_leaves_its_input_unchanged(self, case, wrap):
+        # Snapshots keeps the fields simulate passes it without copying them.
+        model, grid, bc, block = self.CASES[case]
+        fld = ConservedField(block(grid))
+        assert fv_solver._active_window(fld.data, bc)[2] == wrap
+        for _ in range(20):
+            before = fld.data.copy()
+            new, _ = step(model, grid, fld, bc=bc)
+            assert np.array_equal(fld.data.view(np.int64), before.view(np.int64))
+            assert not np.array_equal(new.data, before)
+            fld = new
+
     def test_cases_reach_every_branch(self):
         # Davis speeds of the two barotropic branch cases, gamma = 2: c^2 = 2 K rho.
         for case, branch in (("reference-shock", "left"), ("left-supersonic", "right")):
@@ -400,10 +415,93 @@ class TestTinyRunLength:
         # Absolute 1e-14 time tolerances used to end such a run at t = 0.
         grid = Grid1D(-1.0, 1.0, 64)
         snaps = [0.0, 0.5 * t_final, t_final]
-        result = simulate(REF.model, grid, field_from_solution(REF.model, grid, REF), t_final, snapshot_times=snaps)
+        snapshots = Snapshots(snaps, t_final)
+        result = simulate(REF.model, grid, field_from_solution(REF.model, grid, REF), t_final, observers=[snapshots])
         assert result.n_steps >= 1
         assert result.t == pytest.approx(t_final, rel=1e-12)
-        assert [t for t, _ in result.snapshots] == pytest.approx(snaps, rel=1e-12)
+        assert [t for t, _ in snapshots.taken] == pytest.approx(snaps, rel=1e-12)
+
+
+class Recorder:
+    """Observer keeping every call's arguments."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, n, t, dt, field, last):
+        self.calls.append((n, t, dt, field, last))
+
+
+class TestObservers:
+    def run(self, t_final=0.05, observers=()):
+        grid = Grid1D(-1.0, 1.0, 64)
+        return simulate(REF.model, grid, field_from_solution(REF.model, grid, REF), t_final, observers=observers)
+
+    def test_called_before_the_first_and_after_every_step(self):
+        rec = Recorder()
+        result = self.run(observers=[rec])
+        assert result.n_steps > 1
+        assert [c[0] for c in rec.calls] == list(range(result.n_steps + 1))
+        assert rec.calls[0][2] == 0.0
+        t = 0.0
+        for call in rec.calls:
+            t += call[2]
+            assert call[1] == t
+        assert t == result.t
+        assert [c[4] for c in rec.calls] == [False] * result.n_steps + [True]
+        assert rec.calls[-1][3] is result.field
+        f_in, f_out = result.field.boundary_flux
+        assert f_in.shape == f_out.shape == (2,)
+
+    def test_observers_leave_the_run_unchanged(self):
+        # Interior snapshot times would move step ends; 0 and t_final do not.
+        grid = Grid1D(-1.0, 1.0, 64)
+        snapshots, track = Snapshots([0.0, 0.05], 0.05), ShockTrack(grid)
+        bare, observed = self.run(), self.run(observers=[snapshots, track])
+        assert np.array_equal(bare.field.data.view(np.int64), observed.field.data.view(np.int64))
+        assert np.array_equal(bare.conservation_drift.view(np.int64), observed.conservation_drift.view(np.int64))
+        assert (bare.t, bare.n_steps) == (observed.t, observed.n_steps)
+        assert [t for t, _ in snapshots.taken] == [0.0, observed.t]
+        assert snapshots.taken[-1][1] is observed.field
+
+    def test_shock_track_points(self):
+        grid = Grid1D(-1.0, 1.0, 64)
+        track, rec = ShockTrack(grid), Recorder()
+        result = self.run(0.5, observers=[track, rec])
+        assert result.n_steps > 40 and result.n_steps % 20 != 0
+        expected = [t for n, t, _, _, _ in rec.calls if n % 20 == 0] + [result.t]
+        assert [t for t, _ in track.points] == expected
+        for (t, x), call in zip(track.points, [c for c in rec.calls if c[1] in expected]):
+            assert x == locate_shock(grid, call[3], require_isolated=False)[1]
+
+    def test_shock_track_ends_once_on_a_multiple_of_twenty(self):
+        grid = Grid1D(-1.0, 1.0, 64)
+        rec = Recorder()
+        self.run(0.5, observers=[rec])
+        track = ShockTrack(grid)
+        result = self.run(rec.calls[20][1], observers=[track])
+        assert result.n_steps == 20
+        assert [t for t, _ in track.points] == [0.0, result.t]
+
+    def test_snapshot_times(self):
+        t_final = 0.05
+        tol = 1e-14 * t_final
+        snapshots, rec = Snapshots([0.02, -1.0, 0.5 * tol, 0.02, 0.0, 0.03, 1.0], t_final), Recorder()
+        self.run(t_final, observers=[snapshots, rec])
+        taken = [t for t, _ in snapshots.taken]
+        step_ends = [c[1] for c in rec.calls]
+        # Every time up to tol at t = 0, with the field passed in.
+        assert taken[:3] == [0.0, 0.0, 0.0]
+        assert all(fld is rec.calls[0][3] for _, fld in snapshots.taken[:3])
+        # A step ends at 0.02; it takes one of the two 0.02s, the next step the other.
+        i = step_ends.index(taken[3])
+        assert abs(taken[3] - 0.02) <= tol
+        assert taken[4] == step_ends[i + 1] > 0.02 + tol
+        assert abs(taken[5] - 0.03) <= tol
+        # 1.0 lies beyond t_final.
+        assert len(taken) == 6 and snapshots.times == [1.0]
+        for t, fld in snapshots.taken[3:]:
+            assert fld is rec.calls[step_ends.index(t)][3]
 
 
 class TestFieldFromSolution:
@@ -496,8 +594,9 @@ class TestMeasureShock:
             domain=Domain1D(-1.6, 0.4),
         )
         grid = Grid1D(-1.6, 0.4, 800)
-        result = simulate(model, grid, field_from_solution(model, grid, sol), 0.4, track_shock=True)
-        meas = measure_shock(model, grid, result.field, trajectory=result.trajectory)
+        track = ShockTrack(grid)
+        result = simulate(model, grid, field_from_solution(model, grid, sol), 0.4, observers=[track])
+        meas = measure_shock(model, grid, result.field, trajectory=track.points)
         assert meas.v_s == pytest.approx(v_s, rel=0.01)
 
     def test_l1_convergence_order(self):
@@ -528,8 +627,9 @@ class TestFullSystemRun:
             domain=Domain1D(-1.6, 0.4),
         )
         grid = Grid1D(-1.6, 0.4, 800)
-        result = simulate(model, grid, field_from_solution(model, grid, sol), 0.3, track_shock=True)
+        track = ShockTrack(grid)
+        result = simulate(model, grid, field_from_solution(model, grid, sol), 0.3, observers=[track])
         assert np.max(result.conservation_drift) < 1e-10
-        meas = measure_shock(model, grid, result.field, trajectory=result.trajectory)
+        meas = measure_shock(model, grid, result.field, trajectory=track.points)
         assert meas.v_s == pytest.approx(v_s, rel=0.02)
         assert meas.residual.max_abs() < 0.05
