@@ -1,9 +1,15 @@
 """Command-line front-end tying the solvers, audits, and emitters together.
 
+Every run is one configuration document: the --config file's JSON object, or
+{"task": {"name": <subcommand>}} without a file.  Each flag given writes its
+value into the one key _FLAGS names for the task (so it overrides the file),
+a flag outside its task row is a validation error, and the document is then
+checked once by config.validate_config.
+
 Exit status: 0 all configured audits passed, 1 an audit failed, 2 the
-configuration could not be parsed, 3 it failed validation, 4 a numerical
-procedure failed.  Set SHOCKAUDIT_LOG (debug/info/warning) to control log
-verbosity.
+configuration or the command line could not be parsed, 3 it failed
+validation, 4 a numerical procedure failed.  Set SHOCKAUDIT_LOG
+(debug/info/warning) to control log verbosity.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import argparse
 import logging
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +35,7 @@ from .errors import (
 from .fv_solver import Grid1D, ShockTrack, Snapshots, entropy_density_cells, field_from_solution
 from .fv_solver import measure_shock, simulate
 from .lagrangian_maps import augmented_energy_rate, calibrate_lambda, calibrated_flow_map
-from .rh import hugoniot_solve_barotropic, hugoniot_solve_full, rh_residuals, ShockJump
+from .rh import gated_residual, hugoniot_solve_barotropic, hugoniot_solve_full, rh_residuals, ShockJump
 from .shock1d import stationary_shock_example, volume_potential_mismatch
 from .weakcheck import BumpTestFunction, SpacetimeQuadrature, standard_battery, weak_residuals
 
@@ -46,126 +53,100 @@ def _setup_logging():
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
-def _parse_state_flag(text: str) -> dict:
+def _text(flag: str, text: str) -> str:
+    return text
+
+
+def _number(flag: str, text: str, kind=float):
+    """A flag's text as a float (or int); anything else is a ConfigError naming the flag."""
     try:
-        parts = [float(p) for p in text.split(",")]
+        return kind(text)
     except ValueError:
-        parts = []
+        raise ConfigError(f"{flag} needs a number ({kind.__name__}), got {text!r}") from None
+
+
+def _formats(flag: str, text: str) -> list:
+    return [f.strip() for f in text.split(",") if f.strip()]
+
+
+def _state(flag: str, text: str) -> dict:
+    parts = text.split(",")
     if len(parts) not in (2, 3):
-        raise ConfigError(f"--left needs numbers 'rho,u' or 'rho,u,s', got {text!r}")
-    return dict(zip(("rho", "u", "s"), parts))
+        raise ConfigError(f"{flag} needs numbers 'rho,u' or 'rho,u,s', got {text!r}")
+    return dict(zip(("rho", "u", "s"), (_number(flag, p) for p in parts)))
+
+
+# flag -> (converter, {task: (block, key)}, help).  A given flag writes its
+# converted value into that key of the run's document; for a task it does not
+# list it is a validation error.
+_FLAGS = {
+    "--out-dir": (_text, dict.fromkeys(cfgmod.TASK_NAMES, ("output", "dir")), "artifact directory"),
+    "--format": (_formats, dict.fromkeys(cfgmod.TASK_NAMES, ("output", "formats")),
+                 "comma-separated artifact formats: json,csv"),
+    "--seed": (partial(_number, kind=int), {"weak-verify": ("task", "seed")}, "bump battery seed"),
+    "--gamma": (_number, {"shock-example": ("task", "gamma"), "energy-audit": ("task", "gamma"),
+                          "rh-solve": ("model", "gamma")}, "adiabatic exponent"),
+    "--kind": (_text, {"rh-solve": ("model", "kind")}, "barotropic_polytropic or ideal_gas_entropy"),
+    "--K": (_number, {"rh-solve": ("model", "K")}, "barotropic pressure scale"),
+    "--e-ref": (_number, {"rh-solve": ("model", "e_ref")}, "ideal-gas reference energy"),
+    "--c-v": (_number, {"rh-solve": ("model", "c_v")}, "ideal-gas heat capacity"),
+    "--left": (_state, {"rh-solve": ("task", "left")}, "left state as 'rho,u' or 'rho,u,s'"),
+    "--rho-right": (_number, {"rh-solve": ("task", "rho_right")}, "right density to solve for"),
+    "--branch": (_text, {"rh-solve": ("task", "branch")}, "admissible (default) or inadmissible"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse would print usage and raise SystemExit(2) (exit_on_error differs
+    # across Python versions); a bad command line is a parse error from main.
+    def error(self, message):
+        raise ConfigParseError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # Global flags live on a parent parser with SUPPRESS defaults so they are
-    # accepted both before and after the subcommand without clobbering.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS, help="JSON run configuration")
-    common.add_argument(
-        "--out-dir", default=argparse.SUPPRESS, help="artifact directory (default: config or 'out')"
-    )
-    common.add_argument(
-        "--format", default=argparse.SUPPRESS, help="comma-separated artifact formats: json,csv"
-    )
-    common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="seed for randomized batteries"
-    )
-
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shockaudit",
         description="Exact shock solutions, jump-condition audits, and energy balances",
-        parents=[common],
     )
-    sub = parser.add_subparsers(dest="task")
-
-    p = sub.add_parser(
-        "rh-solve", parents=[common], help="solve the jump system for a prescribed density"
-    )
-    p.add_argument("--kind", choices=["barotropic_polytropic", "ideal_gas_entropy"])
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--K", type=float)
-    p.add_argument("--e-ref", type=float)
-    p.add_argument("--c-v", type=float)
-    p.add_argument("--left", help="left state as 'rho,u' or 'rho,u,s'")
-    p.add_argument("--rho-right", type=float)
-    p.add_argument("--branch", choices=["admissible", "inadmissible"])
-
-    p = sub.add_parser("shock-example", parents=[common], help="reference stationary-shock audit")
-    p.add_argument("--gamma", type=float)
-
-    p = sub.add_parser(
-        "energy-audit", parents=[common], help="energy, volume, and calibrated-potential rates"
-    )
-    p.add_argument("--gamma", type=float)
-
-    sub.add_parser(
-        "fv-run", parents=[common], help="finite-volume run with conservation and shock audits"
-    )
-    sub.add_parser(
-        "weak-verify", parents=[common], help="weak-form residual battery for a solution"
-    )
+    parser.add_argument("task", nargs="?", choices=cfgmod.TASK_NAMES,
+                        help="task to run (default: the --config file's task)")
+    parser.add_argument("--config", help="JSON run configuration")
+    for flag, (_, keys, text) in _FLAGS.items():
+        targets = {}
+        for task, key in keys.items():
+            targets.setdefault(".".join(key), []).append(task)
+        sets = "; ".join(f"{key} for {', '.join(tasks)}" for key, tasks in targets.items())
+        parser.add_argument(flag, help=f"{text} (sets {sets})")
     return parser
 
 
 def _resolve_config(args) -> RunConfig:
-    config_path = getattr(args, "config", None)
-    cfg = cfgmod.load_config(config_path) if config_path else None
-
-    if cfg is None:
-        if not args.task:
-            raise ConfigError("no task given: pass a subcommand or --config")
-        task: dict = {"name": args.task}
-        if args.task in ("shock-example", "energy-audit"):
-            if args.gamma is None:
-                raise ConfigError(f"{args.task} needs --gamma (or a config file)")
-            task["gamma"] = args.gamma
-        elif args.task == "rh-solve":
-            if args.left is None or args.rho_right is None:
-                raise ConfigError("rh-solve needs --left and --rho-right (or a config file)")
-            task["left"] = _parse_state_flag(args.left)
-            task["rho_right"] = args.rho_right
-            if args.branch:
-                task["branch"] = args.branch
-            kind = args.kind or "barotropic_polytropic"
-            model = {"kind": kind, "gamma": args.gamma if args.gamma is not None else 1.4}
-            if kind == "barotropic_polytropic":
-                model["K"] = args.K if args.K is not None else 1.0
-            else:
-                if args.e_ref is not None:
-                    model["e_ref"] = args.e_ref
-                if args.c_v is not None:
-                    model["c_v"] = args.c_v
-            cfg = cfgmod.validate_config({"model": model, "task": task})
-            return _apply_output_flags(cfg, args)
-        else:
-            raise ConfigError(f"task {args.task!r} needs --config")
-        cfg = cfgmod.validate_config({"task": task})
+    """The --config document (or a bare task), each given flag written into its key, validated once."""
+    if args.config is not None:
+        doc = cfgmod.load_config(args.config)
+    elif args.task:
+        doc = {"task": {"name": args.task}}
     else:
-        if args.task and args.task != cfg.task_name:
-            raise ConfigError(
-                f"subcommand {args.task!r} disagrees with configured task {cfg.task_name!r}"
-            )
-        gamma_flag = getattr(args, "gamma", None)
-        if gamma_flag is not None and cfg.task_name in ("shock-example", "energy-audit"):
-            cfg.task["gamma"] = gamma_flag
-    return _apply_output_flags(cfg, args)
-
-
-def _apply_output_flags(cfg: RunConfig, args) -> RunConfig:
-    out_dir = getattr(args, "out_dir", None)
-    if out_dir:
-        cfg.output["dir"] = out_dir
-    fmt = getattr(args, "format", None)
-    if fmt:
-        formats = [f.strip() for f in fmt.split(",") if f.strip()]
-        bad = [f for f in formats if f not in ("json", "csv")]
-        if bad:
-            raise ConfigError(f"unknown output formats {bad}")
-        cfg.output["formats"] = formats
-    seed = getattr(args, "seed", None)
-    if seed is not None and cfg.task_name == "weak-verify":
-        cfg.task["seed"] = seed
-    return cfg
+        raise ConfigError("no task given: pass a subcommand or --config")
+    name = cfgmod.task_name(doc)
+    if args.task not in (None, name):
+        raise ConfigError(f"subcommand {args.task!r} disagrees with configured task {name!r}")
+    for flag, (convert, keys, _) in _FLAGS.items():
+        text = getattr(args, flag[2:].replace("-", "_"))
+        if text is None:
+            continue
+        if name not in keys:
+            raise ConfigError(f"{flag} does not apply to task {name!r}")
+        block, key = keys[name]
+        target = doc.setdefault(block, {})
+        if not isinstance(target, dict):
+            raise ConfigError(f"{block} must be an object, got {type(target).__name__}")
+        target[key] = convert(flag, text)
+    if name == "rh-solve" and args.config is None:
+        model = doc["model"] = {"kind": "barotropic_polytropic", "gamma": 1.4, **doc.get("model", {})}
+        if model["kind"] == "barotropic_polytropic":
+            model.setdefault("K", 1.0)
+    return cfgmod.validate_config(doc)
 
 
 def _csv_cells(column) -> list:
@@ -197,7 +178,7 @@ def _run_shock_example(cfg: RunConfig):
     residuals = [rh_residuals(j, sol.model) for j in sol.jumps()]
     dedt, neg_dvdt, gap = volume_potential_mismatch(sol)
     tol = cfg.tolerances["residual"]
-    worst = max(r.conserved_max_abs() for r in residuals)
+    worst = max(gated_residual(r, sol.model) for r in residuals)
     summary = {
         "task": "shock-example",
         "gamma": gamma,
@@ -283,9 +264,7 @@ def _run_rh_solve(cfg: RunConfig):
         if model.carries_entropy:
             summary["s_right"] = s_r
     res = rh_residuals(jump, model)
-    # Mechanical energy is legitimately dissipated at barotropic shocks,
-    # so the audit gates only on the model's conserved components.
-    worst = res.max_abs() if model.carries_entropy else res.conserved_max_abs()
+    worst = gated_residual(res, model)
     summary.update(
         task="rh-solve",
         residuals=res.as_dict(),
@@ -413,10 +392,8 @@ def _error_record(status: int, kind: str, message: str) -> str:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
+        cfg = _resolve_config(_build_parser().parse_args(argv))
         log.debug("running task %s", cfg.task_name)
         summary, header, columns = _TASKS[cfg.task_name](cfg)
         _emit(cfg, summary, header, columns)

@@ -14,13 +14,12 @@ import numpy as np
 
 from .eos import FluidState, GasKind, GasModel
 from .errors import ConfigError, ConfigParseError
-from .rh import ShockJump
+from .rh import RESIDUAL_TOL, ShockJump
 from .shock1d import Domain1D, PiecewiseShockSolution
 
 TOLERANCE_DEFAULTS = {
-    "residual": 1e-10,
+    "residual": RESIDUAL_TOL,
     "weak_residual": 1e-8,
-    "admissibility": 1e-12,
     "conservation": 1e-10,
     "augmented": 1e-12,
 }
@@ -123,12 +122,12 @@ def model_from_dict(block: dict) -> GasModel:
     _check_keys(block, {"kind", "K", "gamma", "e_ref", "c_v"}, {"kind", "gamma"}, "model")
     kind = block["kind"]
     if kind == GasKind.BAROTROPIC_POLYTROPIC.value:
-        if "K" not in block:
-            raise ConfigError("barotropic model needs a pressure scale K")
+        _check_keys(block, {"kind", "K", "gamma"}, {"K"}, f"model of kind {kind!r}")
         return GasModel.barotropic(
             K=_real(block["K"], "model.K"), gamma=_real(block["gamma"], "model.gamma")
         )
     if kind == GasKind.IDEAL_GAS_ENTROPY.value:
+        _check_keys(block, {"kind", "gamma", "e_ref", "c_v"}, set(), f"model of kind {kind!r}")
         return GasModel.ideal_gas(
             gamma=_real(block["gamma"], "model.gamma"),
             e_ref=_real(block.get("e_ref", 1.0), "model.e_ref"),
@@ -206,7 +205,7 @@ def solution_to_dict(sol: PiecewiseShockSolution) -> dict:
 
 
 def solution_from_dict(
-    model: GasModel, block: dict, validate: bool = True, rh_tol: float = 1e-10
+    model: GasModel, block: dict, validate: bool = True, rh_tol: float = RESIDUAL_TOL
 ) -> PiecewiseShockSolution:
     _check_keys(
         block,
@@ -247,20 +246,28 @@ class RunConfig:
     output: dict = field(default_factory=lambda: {"dir": "out", "formats": ["json", "csv"]})
 
 
-def validate_config(raw: dict) -> RunConfig:
-    """Validate a raw configuration mapping into a RunConfig (strict mode)."""
+def task_name(raw: dict) -> str:
+    """The task a raw configuration document names, after checking its top-level keys."""
     _check_keys(raw, {"model", "solution", "task", "tolerances", "output"}, {"task"}, "config")
-
     task_block = raw["task"]
     if not isinstance(task_block, dict) or "name" not in task_block:
         raise ConfigError("task block must carry a name")
     name = task_block["name"]
     if name not in TASK_NAMES:
         raise ConfigError(f"unknown task {name!r}; expected one of {list(TASK_NAMES)}")
+    return name
+
+
+def validate_config(raw: dict) -> RunConfig:
+    """Validate a raw configuration mapping into a RunConfig (strict mode)."""
+    name = task_name(raw)
+    task_block = raw["task"]
     _check_keys(task_block, _TASK_KEYS[name], {"name"}, "task")
     for key in ("gamma", "rho_right"):
         if key in task_block:
             _real(task_block[key], f"task.{key}")
+    if task_block.get("branch", "admissible") not in ("admissible", "inadmissible"):
+        raise ConfigError(f"task.branch must be 'admissible' or 'inadmissible', got {task_block['branch']!r}")
     if name == "weak-verify":
         _validate_weak_task(task_block)
     elif name == "fv-run":
@@ -299,10 +306,15 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError(f"task {name!r} needs a model block")
     if name in ("fv-run", "weak-verify") and solution is None:
         raise ConfigError(f"task {name!r} needs a solution block")
-    if name in ("shock-example", "energy-audit") and "gamma" not in task_block:
-        if name == "shock-example" or solution is None:
-            raise ConfigError(f"task {name!r} needs gamma (or a solution block)")
-    if name == "rh-solve" and "jump" not in task_block:
+    if name == "shock-example" and "gamma" not in task_block:
+        raise ConfigError("task 'shock-example' needs gamma")
+    if name == "energy-audit" and ("gamma" in task_block) == (solution is not None):
+        raise ConfigError("task 'energy-audit' needs exactly one of gamma and a solution block")
+    if name == "rh-solve" and "jump" in task_block:
+        solve_keys = sorted({"left", "rho_right", "branch"} & set(task_block))
+        if solve_keys:
+            raise ConfigError(f"task 'rh-solve' takes a jump block or {solve_keys}, not both")
+    elif name == "rh-solve":
         for key in ("left", "rho_right"):
             if key not in task_block:
                 raise ConfigError(f"task 'rh-solve' needs {key!r} (or a jump block)")
@@ -317,24 +329,20 @@ def validate_config(raw: dict) -> RunConfig:
     )
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON configuration document."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"configuration is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigParseError("configuration must be a JSON object")
-    return validate_config(raw)
-
-
-def load_config(path: str) -> RunConfig:
+def load_config(path: str) -> dict:
+    """The JSON object in the file at path, parsed but not yet validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read configuration {path!r}: {exc}") from exc
-    return parse_config(text)
+    try:
+        raw = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise ConfigParseError(f"configuration is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigParseError("configuration must be a JSON object")
+    return raw
 
 
 def format_float(x: float) -> str:

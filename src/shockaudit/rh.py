@@ -34,7 +34,8 @@ from .errors import (
     NoShockError,
 )
 
-#: Absolute residual level accepted as "satisfies the jump conditions".
+#: Absolute residual level accepted as "satisfies the jump conditions"
+#: (the default of every jump gate: config tolerance, solution validation).
 RESIDUAL_TOL = 1e-10
 #: Slack allowed when testing the entropy/dissipation inequality.
 ADMISSIBILITY_TOL = 1e-12
@@ -133,6 +134,15 @@ def rh_residuals(jump: ShockJump, model: GasModel) -> RhResidual:
         )
 
     return RhResidual(mass=mass, momentum=momentum, energy=energy, entropy_var=entropy_var)
+
+
+def gated_residual(res: RhResidual, model: GasModel) -> float:
+    """The residual a jump is gated on against RESIDUAL_TOL (or its configured value).
+
+    Every law for a model that carries entropy; mass and momentum only for a
+    barotropic one, whose mechanical energy is legitimately dissipated at a shock.
+    """
+    return res.max_abs() if model.carries_entropy else res.conserved_max_abs()
 
 
 def interface_energy_rate(jump: ShockJump, model: GasModel) -> float:

@@ -7,7 +7,7 @@ from dataclasses import InitVar, dataclass, field
 
 from .eos import FluidState, GasModel, balance_terms, pressure
 from .errors import DomainError, InvalidStateError
-from .rh import RhResidual, ShockJump, interface_energy_rate, rh_residuals
+from .rh import RESIDUAL_TOL, RhResidual, ShockJump, gated_residual, interface_energy_rate, rh_residuals
 
 #: Safety margin subtracted from shock-collision times when fixing the horizon.
 HORIZON_MARGIN = 1e-9
@@ -50,7 +50,7 @@ class PiecewiseShockSolution:
     domain: Domain1D = Domain1D(-1.0, 1.0)
     horizon: tuple[float, float] = field(init=False)
     validate: InitVar[bool] = True
-    rh_tol: InitVar[float] = 1e-10
+    rh_tol: InitVar[float] = RESIDUAL_TOL
 
     def __post_init__(self, validate, rh_tol):
         object.__setattr__(self, "states", tuple(self.states))
@@ -71,8 +71,7 @@ class PiecewiseShockSolution:
         object.__setattr__(self, "horizon", self._compute_horizon())
         if validate:
             for i, jump in enumerate(self.jumps()):
-                res = rh_residuals(jump, self.model)
-                bad = res.max_abs() if self.model.carries_entropy else res.conserved_max_abs()
+                bad = gated_residual(rh_residuals(jump, self.model), self.model)
                 if not bad <= rh_tol:
                     raise InvalidStateError(
                         f"shock {i} violates the jump conditions (residual {bad:.3e})"

@@ -16,9 +16,9 @@ from shockaudit.config import (
     jump_to_dict,
     model_from_dict,
     model_to_dict,
-    parse_config,
     solution_from_dict,
     solution_to_dict,
+    validate_config,
 )
 from shockaudit.eos import FluidState, GasModel
 from shockaudit.errors import ConfigError
@@ -191,12 +191,203 @@ class TestConfigErrors:
 
     def test_unknown_task(self):
         with pytest.raises(ConfigError):
-            parse_config(json.dumps({"task": {"name": "frobnicate"}}))
+            validate_config({"task": {"name": "frobnicate"}})
 
     def test_nonpositive_tolerance(self):
         doc = {"task": {"name": "shock-example", "gamma": 2.0}, "tolerances": {"residual": 0.0}}
         with pytest.raises(ConfigError):
-            parse_config(json.dumps(doc))
+            validate_config(doc)
+
+
+    @pytest.mark.parametrize(
+        "data",
+        [b'{"task": {"name": "shock-example", "gamma": 2.0}, "x": "\xe9"}', b"[" * 100_000 + b"]" * 100_000],
+        ids=["latin-1", "nested-too-deep"],
+    )
+    def test_undecodable_file_is_parse_error(self, tmp_path, capsys, data):
+        # UnicodeDecodeError and RecursionError used to escape main as a traceback with exit 1.
+        path = tmp_path / "run.json"
+        path.write_bytes(data)
+        assert main(["--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "parse"
+
+    def test_admissibility_tolerance_is_unknown(self, tmp_path):
+        doc = {"task": {"name": "shock-example", "gamma": 2.0}, "tolerances": {"admissibility": 1e-12}}
+        with pytest.raises(ConfigError, match="admissibility"):
+            validate_config(doc)
+
+
+class TestBadArgv:
+    """Bad command lines end as a returned status and one JSON record, never SystemExit."""
+
+    @pytest.mark.parametrize(
+        "argv, status, names",
+        [
+            (["shock-example", "--gamma", "2", "--frob", "1"], 2, "--frob"),
+            (["shock-example", "--gamma"], 2, "--gamma"),
+            (["frobnicate", "--gamma", "2"], 2, "frobnicate"),
+            (["shock-example", "--gamma", "2", "extra"], 2, "extra"),
+            (["shock-example", "--gamma", "2", "--config", ""], 2, "''"),
+            (["rh-solve", "--left", "1,2", "--rho-right", "abc"], 3, "--rho-right"),
+            (["shock-example", "--gamma", "abc"], 3, "--gamma"),
+            (["rh-solve", "--left", "1,2", "--rho-right", "2", "--K", "x"], 3, "--K"),
+            (["weak-verify", "--seed", "x"], 3, "--seed"),
+            (["weak-verify", "--seed", "1.5"], 3, "--seed"),
+            (["shock-example", "--gamma", "2", "--out-dir", ""], 3, "output.dir"),
+            (["rh-solve", "--left", "1,2", "--rho-right", "2", "--branch", "sideways"], 3, "branch"),
+            (["rh-solve", "--left", "1,2", "--rho-right", "2", "--kind", "vapour"], 3, "vapour"),
+            # --K belongs to the barotropic model only.
+            (["rh-solve", "--kind", "ideal_gas_entropy", "--K", "2", "--left", "1,2,0", "--rho-right", "2"],
+             3, "'K'"),
+            ([], 3, "no task"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_status_and_record(self, tmp_path, capsys, monkeypatch, argv, status, names):
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            pytest.fail(f"SystemExit({exc.code}) escaped main")
+        captured = capsys.readouterr()
+        record = json.loads(captured.err)["error"]
+        assert (code, record["status"]) == (status, status)
+        assert record["kind"] == {2: "parse", 3: "validation"}[status]
+        assert names in record["message"]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith("usage: shockaudit")
+        assert all(flag in text for flag in cli._FLAGS)
+
+    @pytest.mark.parametrize(
+        "argv, flag, task",
+        [
+            (["shock-example", "--gamma", "2", "--seed", "3"], "--seed", "shock-example"),
+            (["energy-audit", "--gamma", "2", "--K", "1"], "--K", "energy-audit"),
+            (["shock-example", "--left", "1,2"], "--left", "shock-example"),
+            (["--config", "FV", "--gamma", "2"], "--gamma", "fv-run"),
+            (["--config", "FV", "--branch", "admissible"], "--branch", "fv-run"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_flag_outside_its_task_is_validation_error(self, tmp_path, capsys, argv, flag, task):
+        fv = write_config(tmp_path, dict(_baro_stationary_shock(), task={"name": "fv-run"}))
+        argv = [fv if a == "FV" else a for a in argv] + ["--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 3
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message == f"{flag} does not apply to task {task!r}"
+        assert not (tmp_path / "out").exists()
+
+
+class TestFlagsMatchConfig:
+    """A flag sets one config key: the flag argv and the equivalent document give the same bytes."""
+
+    BARO = {"kind": "barotropic_polytropic", "gamma": 2.0, "K": 2.0 / 3.0}
+    IDEAL = {"kind": "ideal_gas_entropy", "gamma": 1.4}
+
+    @pytest.mark.parametrize(
+        "flags, doc",
+        [
+            (["rh-solve", "--kind", "barotropic_polytropic", "--gamma", "2", "--K", repr(2.0 / 3.0),
+              "--left", "1,2", "--rho-right", "0.5"],
+             {"model": BARO, "task": {"name": "rh-solve", "left": {"rho": 1.0, "u": 2.0}, "rho_right": 0.5}}),
+            (["rh-solve", "--kind", "barotropic_polytropic", "--gamma", "2", "--K", repr(2.0 / 3.0),
+              "--left", "1,2", "--rho-right", "0.5", "--branch", "inadmissible"],
+             {"model": BARO, "task": {"name": "rh-solve", "left": {"rho": 1.0, "u": 2.0}, "rho_right": 0.5,
+                                      "branch": "inadmissible"}}),
+            (["rh-solve", "--kind", "ideal_gas_entropy", "--gamma", "1.4", "--left", "1,0,0",
+              "--rho-right", "2", "--branch", "admissible"],
+             {"model": IDEAL, "task": {"name": "rh-solve", "left": {"rho": 1.0, "u": 0.0, "s": 0.0},
+                                       "rho_right": 2.0, "branch": "admissible"}}),
+            (["rh-solve", "--kind", "ideal_gas_entropy", "--gamma", "1.4", "--e-ref", "0.9", "--c-v", "1.1",
+              "--left", "1,0,0", "--rho-right", "2", "--branch", "inadmissible"],
+             {"model": {**IDEAL, "e_ref": 0.9, "c_v": 1.1},
+              "task": {"name": "rh-solve", "left": {"rho": 1.0, "u": 0.0, "s": 0.0}, "rho_right": 2.0,
+                       "branch": "inadmissible"}}),
+            # Without a file rh-solve's model defaults to barotropic, gamma 1.4, K 1.
+            (["rh-solve", "--left", "1,2", "--rho-right", "2"],
+             {"model": {"kind": "barotropic_polytropic", "gamma": 1.4, "K": 1.0},
+              "task": {"name": "rh-solve", "left": {"rho": 1.0, "u": 2.0}, "rho_right": 2.0}}),
+            (["shock-example", "--gamma", "2"], {"task": {"name": "shock-example", "gamma": 2.0}}),
+            (["energy-audit", "--gamma", "1.6", "--format", "csv"],
+             {"task": {"name": "energy-audit", "gamma": 1.6}, "output": {"formats": ["csv"]}}),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_same_bytes(self, tmp_path, capsys, flags, doc):
+        runs = []
+        for out, argv in [("a", flags), ("b", ["--config", write_config(tmp_path, doc)])]:
+            status = main(argv + ["--out-dir", str(tmp_path / out)])
+            artifacts = {p.name: p.read_bytes() for p in sorted((tmp_path / out).iterdir())}
+            runs.append((status, capsys.readouterr().out, artifacts))
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
+        assert len(runs[0][2]) == len(doc.get("output", {}).get("formats", ["json", "csv"]))
+
+    def test_one_validation_per_call(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(raw):
+            calls.append(raw)
+            return validate_config(raw)
+
+        monkeypatch.setattr(cli.cfgmod, "validate_config", counting)
+        doc = {"task": {"name": "shock-example", "gamma": 2.0}}
+        for argv in (["shock-example", "--gamma", "2"], ["--config", write_config(tmp_path, doc), "--format", "csv"],
+                     ["rh-solve", "--left", "1,2", "--rho-right", "2", "--gamma", "2", "--K", "1"]):
+            calls.clear()
+            assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+            assert len(calls) == 1
+
+    def test_flags_override_the_file(self, tmp_path):
+        doc = {"model": self.BARO, "task": {"name": "rh-solve", "left": {"rho": 1.0, "u": 2.0}, "rho_right": 2.0},
+               "output": {"dir": str(tmp_path / "ignored")}}
+        argv = ["rh-solve", "--config", write_config(tmp_path, doc), "--left", "5,0", "--rho-right", "9",
+                "--gamma", "3", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        summary = read_summary(tmp_path, "rh_solve")
+        assert summary["left"] == {"rho": 5.0, "u": 0.0}
+        assert summary["right"]["rho"] == 9.0
+        assert summary["model"] == {**self.BARO, "gamma": 3.0}
+        assert not (tmp_path / "ignored").exists()
+
+
+class TestIgnoredInputs:
+    """Config inputs that a task would accept and then ignore are validation errors."""
+
+    JUMP = {"left": {"rho": 1.0, "u": 2.0}, "right": {"rho": 2.0, "u": 1.0}, "v_s": 0.0}
+
+    @pytest.mark.parametrize("extra", [{"left": {"rho": 5.0, "u": 0.0}}, {"rho_right": 9.0}, {"branch": "admissible"}],
+                             ids=lambda e: next(iter(e)))
+    def test_rh_solve_jump_with_solve_keys(self, extra):
+        doc = {"model": TestFlagsMatchConfig.BARO, "task": {"name": "rh-solve", "jump": self.JUMP, **extra}}
+        with pytest.raises(ConfigError, match=next(iter(extra))):
+            validate_config(doc)
+
+    def test_energy_audit_gamma_with_solution(self):
+        doc = {**_baro_stationary_shock(), "task": {"name": "energy-audit", "gamma": 2.0}}
+        with pytest.raises(ConfigError, match="exactly one of gamma and a solution"):
+            validate_config(doc)
+
+    @pytest.mark.parametrize(
+        "model, key",
+        [
+            ({"kind": "ideal_gas_entropy", "gamma": 1.4, "K": 1.0}, "K"),
+            ({"kind": "barotropic_polytropic", "gamma": 2.0, "K": 1.0, "e_ref": 1.0}, "e_ref"),
+            ({"kind": "barotropic_polytropic", "gamma": 2.0, "K": 1.0, "c_v": 1.0}, "c_v"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v["kind"],
+    )
+    def test_model_keys_of_the_other_kind(self, model, key):
+        doc = {"model": model, "task": {"name": "rh-solve", "left": {"rho": 1.0, "u": 2.0, "s": 0.0}, "rho_right": 2.0}}
+        with pytest.raises(ConfigError, match=f"unknown keys \\['{key}'\\]"):
+            validate_config(doc)
 
 
 def _set(doc, path, value):
@@ -459,14 +650,14 @@ class TestFvRunValidation:
     def test_defaults_filled_once(self, tmp_path):
         cfg = self.config(tmp_path)
         cfg["task"] = {"name": "fv-run"}
-        task = parse_config(json.dumps(cfg)).task
+        task = validate_config(cfg).task
         assert task == {"name": "fv-run", "n_cells": 400, "t_final": 0.5, "cfl": 0.45, "bc": "outflow",
                         "snapshots": 3, "track_shock": True, "k_sample": 6}
         assert cfg["task"] == {"name": "fv-run"}
 
     def test_limit_values_accepted(self, tmp_path):
         task = {"n_cells": 4, "cfl": 1.0, "snapshots": 0, "k_sample": 1, "track_shock": False, "bc": "periodic"}
-        cfg = parse_config(json.dumps(self.config(tmp_path, task, tolerances={"conservation": 1})))
+        cfg = validate_config(self.config(tmp_path, task, tolerances={"conservation": 1}))
         assert cfg.task["n_cells"] == 4
         assert cfg.tolerances["conservation"] == 1.0
 
@@ -499,7 +690,7 @@ def _baro_stationary_shock():
 
 def _fv_rows(cfg):
     """(t, x, rho, u[, s]) rows of an fv-run config, built cell by cell from its own simulate call."""
-    run = parse_config(json.dumps(cfg))
+    run = validate_config(cfg)
     model, sol, task = run.model, run.solution, run.task
     grid = Grid1D(sol.domain.x_min, sol.domain.x_max, task["n_cells"])
     times = list(np.linspace(0.0, task["t_final"], task["snapshots"])) if task["snapshots"] else []
@@ -664,7 +855,7 @@ class TestWeakVerify:
             "output": {"dir": str(tmp_path / "out")},
         }
         assert main(["--config", write_config(tmp_path, cfg)]) == 0
-        sol = parse_config(json.dumps(cfg)).solution
+        sol = validate_config(cfg).solution
         quad = SpacetimeQuadrature()
         bumps = standard_battery(sol, count=5, seed=7)
         lines = (tmp_path / "out" / "weak_verify.csv").read_text().splitlines()
@@ -768,7 +959,7 @@ class TestRoundTrips:
             "solution": summary["solution"],
             "task": {"name": "weak-verify", "count": 2},
         }
-        cfg = parse_config(json.dumps(doc))
+        cfg = validate_config(doc)
         assert cfg.solution is not None
         assert cfg.solution.states == stationary_shock_example(2.0).states
 
