@@ -287,9 +287,9 @@ def _run_fv(cfg: RunConfig):
     track = ShockTrack(grid)
     result = simulate(
         model, grid, field0, t_final, cfl=float(task["cfl"]), bc=task["bc"],
-        observers=[snaps, track] if task["track_shock"] else [snaps],
+        observers=[snaps, track],
     )
-    measurement = measure_shock(model, grid, result.field, trajectory=track.points, k=task["k_sample"])
+    measurement = measure_shock(model, grid, result.field, trajectory=track.points)
     tol = cfg.tolerances["conservation"]
     drift = float(np.max(result.conservation_drift))
     summary = {

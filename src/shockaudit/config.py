@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,7 @@ TOLERANCE_DEFAULTS = {
     "augmented": 1e-12,
 }
 
-FV_DEFAULTS = {"n_cells": 400, "t_final": 0.5, "cfl": 0.45, "bc": "outflow", "snapshots": 3,
-               "track_shock": True, "k_sample": 6}
+FV_DEFAULTS = {"n_cells": 400, "t_final": 0.5, "cfl": 0.45, "bc": "outflow", "snapshots": 3}
 
 TASK_NAMES = ("rh-solve", "shock-example", "energy-audit", "fv-run", "weak-verify")
 
@@ -36,6 +35,11 @@ _TASK_KEYS = {
     "fv-run": {"name", *FV_DEFAULTS},
     "weak-verify": {"name", "components", "count", "seed", "order", "panels", "bumps"},
 }
+
+# The top-level blocks each task reads besides task, tolerances and output;
+# any other block would be ignored.
+_TASK_BLOCKS = {"rh-solve": {"model"}, "shock-example": set(), "energy-audit": {"model", "solution"},
+                "fv-run": {"model", "solution"}, "weak-verify": {"model", "solution"}}
 
 
 def _check_keys(block: dict, allowed, required, where: str) -> None:
@@ -94,16 +98,13 @@ def _validate_weak_task(task: dict) -> None:
 
 
 def _validate_fv_task(task: dict) -> None:
-    """Grid size, run length and sampling must be usable as given, never truncated."""
+    """Grid size, run length and snapshot count must be usable as given, never truncated."""
     _require_int(task, "n_cells", 4)
     _require_int(task, "snapshots", 0)
-    _require_int(task, "k_sample", 1)
     if not (_is_real(task["t_final"]) and task["t_final"] > 0.0):
         raise ConfigError(f"task.t_final must be a finite number > 0, got {task['t_final']!r}")
     if not (_is_real(task["cfl"]) and 0.0 < task["cfl"] <= 1.0):
         raise ConfigError(f"task.cfl must be a finite number in (0, 1], got {task['cfl']!r}")
-    if not isinstance(task["track_shock"], bool):
-        raise ConfigError(f"task.track_shock must be true or false, got {task['track_shock']!r}")
     if task["bc"] not in ("outflow", "periodic"):
         raise ConfigError(f"task.bc must be 'outflow' or 'periodic', got {task['bc']!r}")
 
@@ -204,9 +205,7 @@ def solution_to_dict(sol: PiecewiseShockSolution) -> dict:
     }
 
 
-def solution_from_dict(
-    model: GasModel, block: dict, validate: bool = True, rh_tol: float = RESIDUAL_TOL
-) -> PiecewiseShockSolution:
+def solution_from_dict(model: GasModel, block: dict, rh_tol: float = RESIDUAL_TOL) -> PiecewiseShockSolution:
     _check_keys(
         block,
         {"states", "shock_positions", "shock_speeds", "domain"},
@@ -229,7 +228,6 @@ def solution_from_dict(
         shock_positions_t0=_reals(block, "shock_positions", "solution"),
         shock_speeds=_reals(block, "shock_speeds", "solution"),
         domain=domain,
-        validate=validate,
         rh_tol=rh_tol,
     )
 
@@ -240,10 +238,10 @@ class RunConfig:
 
     task_name: str
     task: dict
-    model: GasModel | None = None
-    solution: PiecewiseShockSolution | None = None
-    tolerances: dict = field(default_factory=lambda: dict(TOLERANCE_DEFAULTS))
-    output: dict = field(default_factory=lambda: {"dir": "out", "formats": ["json", "csv"]})
+    model: GasModel | None
+    solution: PiecewiseShockSolution | None
+    tolerances: dict
+    output: dict
 
 
 def task_name(raw: dict) -> str:
@@ -261,6 +259,9 @@ def task_name(raw: dict) -> str:
 def validate_config(raw: dict) -> RunConfig:
     """Validate a raw configuration mapping into a RunConfig (strict mode)."""
     name = task_name(raw)
+    unread = sorted(set(raw) - {"task", "tolerances", "output"} - _TASK_BLOCKS[name])
+    if unread:
+        raise ConfigError(f"task {name!r} does not read the {unread} block(s)")
     task_block = raw["task"]
     _check_keys(task_block, _TASK_KEYS[name], {"name"}, "task")
     for key in ("gamma", "rho_right"):
@@ -310,6 +311,12 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError("task 'shock-example' needs gamma")
     if name == "energy-audit" and ("gamma" in task_block) == (solution is not None):
         raise ConfigError("task 'energy-audit' needs exactly one of gamma and a solution block")
+    if name == "energy-audit" and "gamma" in task_block and model is not None:
+        raise ConfigError("task 'energy-audit' takes gamma or a model block, not both")
+    if name == "weak-verify" and "bumps" in task_block:
+        battery_keys = sorted({"count", "seed"} & set(task_block))
+        if battery_keys:
+            raise ConfigError(f"task 'weak-verify' takes bumps or {battery_keys}, not both")
     if name == "rh-solve" and "jump" in task_block:
         solve_keys = sorted({"left", "rho_right", "branch"} & set(task_block))
         if solve_keys:
@@ -319,14 +326,7 @@ def validate_config(raw: dict) -> RunConfig:
             if key not in task_block:
                 raise ConfigError(f"task 'rh-solve' needs {key!r} (or a jump block)")
 
-    return RunConfig(
-        task_name=name,
-        task=dict(task_block),
-        model=model,
-        solution=solution,
-        tolerances=tolerances,
-        output=output,
-    )
+    return RunConfig(name, dict(task_block), model, solution, tolerances, output)
 
 
 def load_config(path: str) -> dict:

@@ -21,6 +21,7 @@ from .rh import RhResidual, ShockJump, rh_residuals
 from .shock1d import PiecewiseShockSolution
 
 ISOLATION = 5.0  # locate_shock's gate on the steepest density gradient
+PLATEAU_OFFSET = 6  # cells from the steep interface to the plateau cells locate/measure_shock read
 MAX_STEPS = 2_000_000  # simulate's step budget
 TIME_TOL = 1e-14  # simulate's time tolerance, relative to t_final
 
@@ -261,10 +262,8 @@ def step(
     return ConservedField(U_new, boundary_flux=(F[:, 0].copy(), F[:, -1].copy())), dt
 
 
-def field_from_solution(
-    model: GasModel, grid: Grid1D, sol: PiecewiseShockSolution, t: float = 0.0
-) -> ConservedField:
-    """Exact cell averages of a piecewise-constant solution (conservative init).
+def field_from_solution(model: GasModel, grid: Grid1D, sol: PiecewiseShockSolution) -> ConservedField:
+    """Exact cell averages of a piecewise-constant solution at t = 0 (conservative init).
 
     Each region adds eos.conserved of its state weighted by the fraction of
     each cell it covers, the overlap over the cell's own width.  A cell
@@ -278,8 +277,7 @@ def field_from_solution(
     width = right - left
     k = _n_comp(model)
     U = np.zeros((k, grid.n_cells))
-    shocks = [sol.shock_position(i, t) for i in range(len(sol.shock_speeds))]
-    breaks = [-np.inf, *shocks, np.inf]
+    breaks = [-np.inf, *sol.shock_positions_t0, np.inf]
     for i, state in enumerate(sol.states):
         overlap = np.minimum(right, breaks[i + 1]) - np.maximum(left, breaks[i])
         frac = np.divide(overlap, width, out=np.zeros_like(width), where=overlap > 0.0)
@@ -316,8 +314,8 @@ def locate_shock(
     With require_isolated the steepest density gradient must exceed every
     gradient outside its 3-cell neighborhood by the ISOLATION factor
     (trajectory tracking during start-up transients disables the gate); the
-    subcell position is the point where plateau densities reproduce the
-    window's conserved mass.
+    subcell position is where the plateau densities, PLATEAU_OFFSET cells to
+    either side, reproduce the window's conserved mass.
     """
     rho = field.data[0]
     g = np.abs(np.diff(rho))
@@ -331,9 +329,8 @@ def locate_shock(
         if mask.any() and g[i_star] < ISOLATION * float(np.max(g[mask])):
             raise NumericalError("no isolated discontinuity dominates the density gradients")
 
-    k = 6
-    lo_cell = max(i_star - k, 0)
-    hi_cell = min(i_star + 1 + k, grid.n_cells - 1)
+    lo_cell = max(i_star - PLATEAU_OFFSET, 0)
+    hi_cell = min(i_star + 1 + PLATEAU_OFFSET, grid.n_cells - 1)
     rho_l = rho[lo_cell]
     rho_r = rho[hi_cell]
     if rho_l == rho_r:
@@ -354,21 +351,15 @@ class ShockMeasurement:
     residual: RhResidual
 
 
-def measure_shock(
-    model: GasModel,
-    grid: Grid1D,
-    field: ConservedField,
-    trajectory=(),
-    k: int = 6,
-) -> ShockMeasurement:
-    """Sample the captured shock k cells away from the interface and audit it.
+def measure_shock(model: GasModel, grid: Grid1D, field: ConservedField, trajectory=()) -> ShockMeasurement:
+    """Audit the captured shock from the plateau cells locate_shock reads.
 
     trajectory is a sequence of (t, position) pairs; the speed is its
     least-squares slope.  With fewer than two the shock is assumed stationary.
     """
     i_star, x_s = locate_shock(grid, field)
-    i_l = i_star - k
-    i_r = i_star + 1 + k
+    i_l = i_star - PLATEAU_OFFSET
+    i_r = i_star + 1 + PLATEAU_OFFSET
     if i_l < 0 or i_r >= grid.n_cells:
         raise NumericalError("discontinuity too close to the boundary to sample plateaus")
     left = state_at_cell(model, field, i_l)

@@ -105,11 +105,11 @@ class FlowMap1D:
             self._lambda_fn(i + 1)(xs - u_r * t),
         )
 
-    def v_shock(self, t: float, quad_tol: float = 1e-10) -> float:
+    def v_shock(self, t: float) -> float:
         """-V(t): reference measure of the labels occupying each region.
 
         Constant reference densities short-circuit to closed form; general
-        densities integrate by adaptive Simpson to quad_tol.
+        densities integrate by adaptive Simpson to 1e-10.
         """
         sol = self.solution
         sol.require_in_horizon(t)
@@ -120,7 +120,7 @@ class FlowMap1D:
             ref_lo, ref_hi = lo - u * t, hi - u * t
             dens = self.reference_densities[i]
             if callable(dens):
-                total += _adaptive_simpson(dens, ref_lo, ref_hi, tol=quad_tol)
+                total += _adaptive_simpson(dens, ref_lo, ref_hi)
             else:
                 total += float(dens) * (ref_hi - ref_lo)
         return total
@@ -148,17 +148,16 @@ class FlowMap1D:
         return total
 
 
-def calibrate_lambda(
-    sol: PiecewiseShockSolution, gauge_left: float = 0.0
-) -> tuple[float, float]:
+def calibrate_lambda(sol: PiecewiseShockSolution) -> tuple[float, float]:
     """One-sided constants (lambda_left, lambda_right) reproducing the energy rate.
 
     Solves the single-shock identity
         -v_s [[lambda]] + [[lambda u]] . n = dE/dt
-    for a two-state solution, pinned by the gauge lambda_left = gauge_left
-    (the homogeneous jump relation leaves a one-parameter family).  With the
-    calibrated pair, E - lambda satisfies a conservative jump condition and
-    the augmented energy rate vanishes.
+    for a two-state solution, pinned by the gauge lambda_left = 0 (the
+    homogeneous jump relation leaves a one-parameter family; when the right
+    state moves with the interface the gauge pins lambda_right = 0 instead).
+    With the calibrated pair, E - lambda satisfies a conservative jump
+    condition and the augmented energy rate vanishes.
     """
     if len(sol.states) != 2:
         raise InvalidStateError("calibration is defined for two-state, single-shock solutions")
@@ -169,11 +168,11 @@ def calibrate_lambda(
     rel_r = right.u - v_s
     # lambda_r * rel_r - lambda_l * rel_l = target
     if abs(rel_r) > 1e-13:
-        lam_l = gauge_left
+        lam_l = 0.0
         lam_r = (target + lam_l * rel_l) / rel_r
         return (lam_l, lam_r)
     if abs(rel_l) > 1e-13:
-        lam_r = gauge_left
+        lam_r = 0.0
         lam_l = (lam_r * rel_r - target) / rel_l
         return (lam_l, lam_r)
     raise CalibrationError(
@@ -181,22 +180,20 @@ def calibrate_lambda(
     )
 
 
-def calibrated_flow_map(sol: PiecewiseShockSolution, gauge_left: float = 0.0) -> FlowMap1D:
+def calibrated_flow_map(sol: PiecewiseShockSolution) -> FlowMap1D:
     """FlowMap1D whose constant reference densities carry the calibrated lambdas."""
-    lam_l, lam_r = calibrate_lambda(sol, gauge_left=gauge_left)
+    lam_l, lam_r = calibrate_lambda(sol)
     return FlowMap1D(sol, (lam_l, lam_r))
 
 
-def augmented_energy_rate(
-    sol: PiecewiseShockSolution, flow_map: FlowMap1D, t: float = 0.0
-) -> float:
-    """dE/dt + dV/dt for the solution and potential; ~0 after calibration.
+def augmented_energy_rate(sol: PiecewiseShockSolution, flow_map: FlowMap1D) -> float:
+    """dE/dt + dV/dt at t = 0 for the solution and potential; ~0 after calibration.
 
     Since v_shock tracks -V, this is energy_rate minus the interface rate of
     the potential.  With the unit reference density it reproduces the
     energy-versus-volume mismatch instead.
     """
-    return energy_rate(sol) - flow_map.v_shock_rate(t)
+    return energy_rate(sol) - flow_map.v_shock_rate(0.0)
 
 
 def lambda_jump_defect(sol: PiecewiseShockSolution, flow_map: FlowMap1D, i: int = 0, t: float = 0.0) -> float:
@@ -207,21 +204,19 @@ def lambda_jump_defect(sol: PiecewiseShockSolution, flow_map: FlowMap1D, i: int 
     return jump_residual(sol.shock_speeds[i], 1.0, lam_l, lam_r, lam_l * u_l, lam_r * u_r)
 
 
-def augmented_jump_residual(
-    sol: PiecewiseShockSolution, flow_map: FlowMap1D, i: int = 0, t: float = 0.0
-) -> float:
-    """Conservative jump residual of E - lambda on shock i.
+def augmented_jump_residual(sol: PiecewiseShockSolution, flow_map: FlowMap1D) -> float:
+    """Conservative jump residual of E - lambda on the first shock at t = 0.
 
     The conserved combination inherits E's flux less lambda's transport:
     v_s [[E - lambda]] - [[(E + p - lambda) u]] . n, which vanishes exactly
     for calibrated lambdas.
     """
-    left, right = sol.states[i], sol.states[i + 1]
-    lam_l, lam_r = flow_map.lambda_at_shock(t, i)
+    left, right = sol.states[0], sol.states[1]
+    lam_l, lam_r = flow_map.lambda_at_shock(0.0, 0)
     e_l = energy_density(sol.model, left)
     e_r = energy_density(sol.model, right)
     p_l = pressure(sol.model, left)
     p_r = pressure(sol.model, right)
     f_l = (e_l + p_l - lam_l) * left.u
     f_r = (e_r + p_r - lam_r) * right.u
-    return jump_residual(sol.shock_speeds[i], 1.0, e_l - lam_l, e_r - lam_r, f_l, f_r)
+    return jump_residual(sol.shock_speeds[0], 1.0, e_l - lam_l, e_r - lam_r, f_l, f_r)

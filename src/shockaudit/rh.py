@@ -183,16 +183,12 @@ def _admissibility_margin(jump: ShockJump, model: GasModel) -> float:
     return specific_entropy(upstream) - specific_entropy(downstream)
 
 
-def entropy_admissible(
-    jump: ShockJump,
-    model: GasModel,
-    tol: float = ADMISSIBILITY_TOL,
-    residual_tol: float = 1e-8,
-) -> bool:
+def entropy_admissible(jump: ShockJump, model: GasModel, residual_tol: float = 1e-8) -> bool:
     """True iff the jump is the physically admissible branch.
 
     Barotropic: mechanical energy must not increase across the shock.
     Entropy model: downstream specific entropy must not be below upstream.
+    Either margin may exceed zero by ADMISSIBILITY_TOL.
     The jump must already satisfy mass and momentum to within residual_tol
     (loosen it when auditing finite-resolution captured shocks).
     """
@@ -202,7 +198,7 @@ def entropy_admissible(
             "admissibility queried on a jump violating mass/momentum conditions "
             f"(residual {res.conserved_max_abs():.3e} >= {residual_tol:.1e})"
         )
-    return _admissibility_margin(jump, model) <= tol
+    return _admissibility_margin(jump, model) <= ADMISSIBILITY_TOL
 
 
 def _hugoniot_root(left, rho_right, model, branch):
@@ -294,14 +290,3 @@ def hugoniot_solve_full(
     if not model.carries_entropy:
         raise InvalidStateError("hugoniot_solve_full needs an entropy-carrying model")
     return _hugoniot_root(left, rho_right, model, branch)
-
-
-def fourier_entropy_flux(
-    model: GasModel, state: FluidState, temp_gradient: float, kappa: float
-) -> float:
-    """Fourier-law entropy flux j_s = -kappa grad(T) / T.
-
-    For piecewise-constant bulk states grad(T) = 0 and the flux vanishes;
-    any nonzero interfacial j_s is caller-supplied what-if data.
-    """
-    return -kappa * temp_gradient / temperature(model, state)

@@ -7,7 +7,7 @@ from dataclasses import InitVar, dataclass, field
 
 from .eos import FluidState, GasModel, balance_terms, pressure
 from .errors import DomainError, InvalidStateError
-from .rh import RESIDUAL_TOL, RhResidual, ShockJump, gated_residual, interface_energy_rate, rh_residuals
+from .rh import RESIDUAL_TOL, ShockJump, gated_residual, interface_energy_rate, rh_residuals
 
 #: Safety margin subtracted from shock-collision times when fixing the horizon.
 HORIZON_MARGIN = 1e-9
@@ -137,12 +137,8 @@ def evaluate(sol: PiecewiseShockSolution, t: float, x: float) -> FluidState:
     return sol.states[sol.region_index(t, x)]
 
 
-def stationary_shock_example(
-    gamma: float,
-    domain: tuple[float, float] = (-1.0, 1.0),
-    motion: str = "fixed",
-) -> PiecewiseShockSolution:
-    """Reference stationary-shock solution for the barotropic polytrope.
+def stationary_shock_example(gamma: float, motion: str = "fixed") -> PiecewiseShockSolution:
+    """Reference stationary-shock solution for the barotropic polytrope on [-1, 1].
 
     States (rho, u) = (1, 2) and (2, 1) form a compressive shock frozen at
     x = 0 exactly when the pressure scale is K = 2 / (2**gamma - 1); this is
@@ -158,7 +154,7 @@ def stationary_shock_example(
         states=states,
         shock_positions_t0=(0.0,),
         shock_speeds=(0.0,),
-        domain=Domain1D(domain[0], domain[1], motion),
+        domain=Domain1D(-1.0, 1.0, motion),
         rh_tol=1e-12,
     )
 
@@ -220,8 +216,3 @@ def volume_potential_mismatch(sol: PiecewiseShockSolution) -> tuple[float, float
     dedt = energy_rate(sol)
     neg_dvdt = length_rate(sol)
     return (dedt, neg_dvdt, abs(dedt - neg_dvdt))
-
-
-def solution_residuals(sol: PiecewiseShockSolution) -> list[RhResidual]:
-    """Jump-condition residuals of every stored shock (audit helper)."""
-    return [rh_residuals(jump, sol.model) for jump in sol.jumps()]

@@ -83,17 +83,17 @@ class BumpTestFunction:
 
 @dataclass(frozen=True)
 class SpacetimeQuadrature:
-    """Composite tensor-product Gauss rule with optional shock-aligned splits.
+    """Composite tensor-product Gauss rule, applied between shock-aligned splits.
 
     order is the Gauss-Legendre point count per panel; panels subdivides each
-    smooth subinterval in both directions.  Shock alignment keeps kinks of
-    the integrand on subcell boundaries, which Gauss rules need to hold their
-    order.
+    smooth subinterval in both directions.  weak_residuals always splits the
+    support at the shocks (in time where one crosses a box edge, in space at
+    every shock inside the box), so kinks of the integrand lie on subcell
+    boundaries, which Gauss rules need to hold their order.
     """
 
     order: int = 8
     panels: int = 16
-    shock_aligned: bool = True
     _gauss: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -150,12 +150,10 @@ def _require_support_inside(sol, box):
             raise DomainError("test-function support leaves the solution domain")
 
 
-def _time_cuts(sol, box, shock_aligned):
+def _time_cuts(sol, box):
     """Times where a shock crosses the support box edges (integrand corners)."""
     t_lo, t_hi, x_lo, x_hi = box
     cuts = {t_lo, t_hi}
-    if not shock_aligned:
-        return sorted(cuts)
     for i, v in enumerate(sol.shock_speeds):
         x0 = sol.shock_positions_t0[i]
         if v != 0.0:
@@ -196,19 +194,15 @@ def weak_residuals(
     speeds = np.array(sol.shock_speeds)
 
     totals = [0.0] * len(consts)
-    cuts = _time_cuts(sol, box, quad.shock_aligned)
+    cuts = _time_cuts(sol, box)
     for ta, tb in zip(cuts, cuts[1:]):
         ts, wts = _panel_nodes(ta, tb, quad.panels, base_nodes, base_weights)
         shock_xs = x0[:, None] + speeds[:, None] * ts
-        breaks = [np.full_like(ts, x_lo)]
-        if quad.shock_aligned:
-            at_mid = x0 + speeds * (0.5 * (ta + tb))
-            breaks += list(shock_xs[(x_lo < at_mid) & (at_mid < x_hi)])
-        breaks.append(np.full_like(ts, x_hi))
+        at_mid = x0 + speeds * (0.5 * (ta + tb))
+        inside = shock_xs[(x_lo < at_mid) & (at_mid < x_hi)]
+        breaks = [np.full_like(ts, x_lo), *inside, np.full_like(ts, x_hi)]
         accs = [np.zeros_like(ts) for _ in consts]
         for lo, hi in zip(breaks, breaks[1:]):
-            # Region per time node: without shock alignment a moving shock
-            # can cross the sub-interval midpoint inside the slab.
             region = np.count_nonzero(shock_xs < 0.5 * (lo + hi), axis=0)
             xs, wxs = _panel_nodes(lo, hi, quad.panels, base_nodes, base_weights)
             a = (wxs * h.dt(ts[:, None], xs)).sum(axis=1)
@@ -262,20 +256,6 @@ def standard_battery(
     return bumps
 
 
-def normal_speed_levelset(f, point, dfdt=None, dfdx=None, step: float = 1e-6) -> float:
-    """Interface normal speed -df/dt / |df/dx| of the zero level set of f(t, x).
-
-    Derivatives come from the analytic handles when given, otherwise central
-    differences with the supplied step.
-    """
-    t, x = point
-    ft = dfdt(t, x) if dfdt is not None else (f(t + step, x) - f(t - step, x)) / (2.0 * step)
-    fx = dfdx(t, x) if dfdx is not None else (f(t, x + step) - f(t, x - step)) / (2.0 * step)
-    if abs(fx) <= 1e-12:
-        raise NumericalError("degenerate spatial gradient: no normal direction")
-    return -ft / abs(fx)
-
-
 def mass_integral(sol: PiecewiseShockSolution, lo: float, hi: float, t: float) -> float:
     """Exact integral of the density over [lo, hi] at time t."""
     if hi < lo:
@@ -290,17 +270,17 @@ def mass_integral(sol: PiecewiseShockSolution, lo: float, hi: float, t: float) -
     return total
 
 
-def moving_domain_mass_rate(
-    sol: PiecewiseShockSolution, a, b, t0: float = 0.0, step: float = 1e-5
-) -> float:
-    """d/dt of the mass between material endpoint trajectories a(t) and b(t).
+def moving_domain_mass_rate(sol: PiecewiseShockSolution, a, b) -> float:
+    """d/dt at t = 0 of the mass between material endpoint trajectories a(t) and b(t).
 
     Vanishes exactly when every interior shock satisfies the mass jump
     condition; a violated condition shows up as minus its residual.  The
-    endpoints must move with the local fluid velocity and stay clear of the
-    shocks over the differencing window.
+    rate is a central difference over t = +-1e-5; the endpoints must move
+    with the local fluid velocity and stay clear of the shocks over that
+    window.
     """
-    for t in (t0 - step, t0, t0 + step):
+    step = 1e-5
+    for t in (-step, 0.0, step):
         sol.require_in_horizon(t)
         for endpoint in (a, b):
             xe = endpoint(t)
@@ -311,13 +291,13 @@ def moving_domain_mass_rate(
                 if abs(xe - sol.shock_position(i, t)) < 10.0 * step:
                     raise DomainError("audit endpoint collides with a shock trajectory")
     for endpoint in (a, b):
-        xe = endpoint(t0)
-        speed_fd = (endpoint(t0 + step) - endpoint(t0 - step)) / (2.0 * step)
-        u_local = evaluate(sol, t0, xe).u
+        xe = endpoint(0.0)
+        speed_fd = (endpoint(step) - endpoint(-step)) / (2.0 * step)
+        u_local = evaluate(sol, 0.0, xe).u
         if abs(speed_fd - u_local) > 1e-6 * max(1.0, abs(u_local)):
             raise InvalidStateError(
                 f"endpoint at {xe} moves at {speed_fd}, local fluid velocity is {u_local}"
             )
-    above = mass_integral(sol, a(t0 + step), b(t0 + step), t0 + step)
-    below = mass_integral(sol, a(t0 - step), b(t0 - step), t0 - step)
+    above = mass_integral(sol, a(step), b(step), step)
+    below = mass_integral(sol, a(-step), b(-step), -step)
     return (above - below) / (2.0 * step)

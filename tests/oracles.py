@@ -203,33 +203,28 @@ def graded_gauss(a, b, order, panels):
     return nodes, weights
 
 
-def loop_weak_residual(regions, shock_x0, shock_v, h, order, panels, shock_aligned=True):
+def loop_weak_residual(regions, shock_x0, shock_v, h, order, panels):
     """Integral of U h_t + F h_x over h's support box, one time node at a time.
 
     regions[k] = (U, F) holds left of shock k and right of shock k - 1;
     shock k sits at shock_x0[k] + shock_v[k] * t.  The time axis is cut
     where a shock crosses an x-edge of the box, and at every time node the
-    x-axis is cut at the shocks inside the box (with shock_aligned), so the
-    Gauss rules only ever see smooth integrands.  h is called with a scalar
-    t and a 1-d array of x.  U and F may be arrays (one entry per law), and
+    x-axis is cut at the shocks inside the box, so the Gauss rules only ever
+    see smooth integrands.  h is called with a scalar t and a 1-d array of x.  U and F may be arrays (one entry per law), and
     the result then has their shape.
     """
     t_lo, t_hi, x_lo, x_hi = h.support()
     t_cuts = [t_lo, t_hi]
-    if shock_aligned:
-        for x0, v in zip(shock_x0, shock_v):
-            for edge in (x_lo, x_hi):
-                if v != 0.0 and t_lo < (edge - x0) / v < t_hi:
-                    t_cuts.append((edge - x0) / v)
+    for x0, v in zip(shock_x0, shock_v):
+        for edge in (x_lo, x_hi):
+            if v != 0.0 and t_lo < (edge - x0) / v < t_hi:
+                t_cuts.append((edge - x0) / v)
     t_cuts.sort()
     total = 0.0
     for ta, tb in zip(t_cuts, t_cuts[1:]):
         for t, wt in zip(*graded_gauss(ta, tb, order, panels)):
             positions = [x0 + v * t for x0, v in zip(shock_x0, shock_v)]
-            cuts = [x_lo, x_hi]
-            if shock_aligned:
-                cuts += [x for x in positions if x_lo < x < x_hi]
-            cuts.sort()
+            cuts = sorted([x_lo, x_hi, *(x for x in positions if x_lo < x < x_hi)])
             inner = 0.0
             for a, b in zip(cuts, cuts[1:]):
                 centre = (a + b) / 2.0

@@ -375,6 +375,45 @@ class TestIgnoredInputs:
         with pytest.raises(ConfigError, match="exactly one of gamma and a solution"):
             validate_config(doc)
 
+    @staticmethod
+    def rejected(tmp_path, capsys, argv):
+        """The validation message of a main call that must exit 3 before writing anything."""
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 3
+        record = json.loads(capsys.readouterr().err)["error"]
+        assert record["kind"] == "validation"
+        assert not (tmp_path / "out").exists()
+        return record["message"]
+
+    @pytest.mark.parametrize("blocks", [["model"], ["solution"], ["model", "solution"]], ids="+".join)
+    def test_shock_example_with_model_or_solution(self, tmp_path, capsys, blocks):
+        doc = {"task": {"name": "shock-example", "gamma": 2.0}}
+        doc.update((block, _baro_stationary_shock()[block]) for block in blocks)
+        message = self.rejected(tmp_path, capsys, ["--config", write_config(tmp_path, doc)])
+        assert f"does not read the {blocks} block" in message
+
+    def test_energy_audit_gamma_with_model(self, tmp_path, capsys):
+        doc = {"model": _baro_stationary_shock()["model"], "task": {"name": "energy-audit", "gamma": 2.0}}
+        message = self.rejected(tmp_path, capsys, ["--config", write_config(tmp_path, doc)])
+        assert "gamma or a model block" in message
+
+    def test_rh_solve_with_solution(self, tmp_path, capsys):
+        doc = {"model": TestFlagsMatchConfig.BARO, "solution": _baro_stationary_shock()["solution"],
+               "task": {"name": "rh-solve", "jump": self.JUMP}}
+        message = self.rejected(tmp_path, capsys, ["--config", write_config(tmp_path, doc)])
+        assert "does not read the ['solution'] block" in message
+
+    @pytest.mark.parametrize(
+        "task, flags, keys",
+        [({"count": 3}, [], ["count"]), ({"seed": 1}, [], ["seed"]), ({}, ["--seed", "1"], ["seed"]),
+         ({"count": 3, "seed": 1}, [], ["count", "seed"])],
+        ids=["count", "seed", "seed-flag", "count+seed"],
+    )
+    def test_weak_verify_bumps_with_battery_keys(self, tmp_path, capsys, task, flags, keys):
+        bumps = [{"t0": 0.25, "x0": 0.0, "rt": 0.1, "rx": 0.1}]
+        doc = {**_baro_stationary_shock(), "task": {"name": "weak-verify", "bumps": bumps, **task}}
+        message = self.rejected(tmp_path, capsys, ["--config", write_config(tmp_path, doc)] + flags)
+        assert f"takes bumps or {keys}, not both" in message
+
     @pytest.mark.parametrize(
         "model, key",
         [
@@ -578,6 +617,24 @@ class TestFvRun:
         first = lines[1].split(",")
         assert float(first[4]) == pytest.approx(s0, rel=1e-6)
 
+    def test_moving_shock_speed_is_measured(self, tmp_path):
+        # measured_v_s is the slope of the tracked shock trajectory.
+        u_r, s_r, v_s = hugoniot_solve_full(FluidState(1.0, 0.0, 0.0), 3.5, GasModel.ideal_gas(gamma=1.4))
+        cfg = {
+            "model": {"kind": "ideal_gas_entropy", "gamma": 1.4},
+            "solution": {
+                "states": [{"rho": 1.0, "u": 0.0, "s": 0.0}, {"rho": 3.5, "u": u_r, "s": s_r}],
+                "shock_positions": [0.5],
+                "shock_speeds": [v_s],
+                "domain": {"x_min": 0.0, "x_max": 1.0},
+            },
+            "task": {"name": "fv-run", "n_cells": 400, "t_final": 0.1},
+            "output": {"dir": str(tmp_path / "out")},
+        }
+        assert main(["--config", write_config(tmp_path, cfg)]) == 0
+        assert v_s == pytest.approx(-1.9799, abs=1e-4)
+        assert read_summary(tmp_path, "fv_run")["measured_v_s"] == pytest.approx(v_s, rel=0.01)
+
 
 class TestFvRunValidation:
     def config(self, tmp_path, task=None, tolerances=None):
@@ -615,10 +672,9 @@ class TestFvRunValidation:
             {"cfl": float("nan")},
             {"snapshots": -2},
             {"snapshots": 2.5},
-            {"k_sample": 0},
-            {"k_sample": 2.0},
-            {"track_shock": "yes"},
-            {"track_shock": 1},
+            # The shock is always tracked and sampled 6 cells from the interface.
+            {"track_shock": True},
+            {"k_sample": 6},
             {"bc": "reflective"},
         ],
         ids=lambda task: "-".join(f"{k}={v!r}" for k, v in task.items()),
@@ -652,11 +708,11 @@ class TestFvRunValidation:
         cfg["task"] = {"name": "fv-run"}
         task = validate_config(cfg).task
         assert task == {"name": "fv-run", "n_cells": 400, "t_final": 0.5, "cfl": 0.45, "bc": "outflow",
-                        "snapshots": 3, "track_shock": True, "k_sample": 6}
+                        "snapshots": 3}
         assert cfg["task"] == {"name": "fv-run"}
 
     def test_limit_values_accepted(self, tmp_path):
-        task = {"n_cells": 4, "cfl": 1.0, "snapshots": 0, "k_sample": 1, "track_shock": False, "bc": "periodic"}
+        task = {"n_cells": 4, "cfl": 1.0, "snapshots": 0, "bc": "periodic"}
         cfg = validate_config(self.config(tmp_path, task, tolerances={"conservation": 1}))
         assert cfg.task["n_cells"] == 4
         assert cfg.tolerances["conservation"] == 1.0
@@ -695,10 +751,9 @@ def _fv_rows(cfg):
     grid = Grid1D(sol.domain.x_min, sol.domain.x_max, task["n_cells"])
     times = list(np.linspace(0.0, task["t_final"], task["snapshots"])) if task["snapshots"] else []
     snapshots = Snapshots(times, task["t_final"])
-    observers = [snapshots, ShockTrack(grid)] if task["track_shock"] else [snapshots]
     simulate(
         model, grid, field_from_solution(model, grid, sol), task["t_final"], cfl=task["cfl"],
-        bc=task["bc"], observers=observers,
+        bc=task["bc"], observers=[snapshots, ShockTrack(grid)],
     )
     rows = []
     for t, snap in snapshots.taken:
@@ -757,7 +812,7 @@ class TestCsvColumns:
         # Two steps: under a periodic boundary the seam joins the two states,
         # and a longer run smears it until locate_shock's isolation gate fails.
         task = {"name": "fv-run", "n_cells": 64, "t_final": 0.002, "cfl": 0.45, "bc": bc,
-                "snapshots": snapshots, "track_shock": False}
+                "snapshots": snapshots}
         cfg = {**case(), "task": task, "output": {"dir": str(tmp_path / "out")}}
         assert main(["--config", write_config(tmp_path, cfg)]) == 0
         header = ("t", "x", "rho", "u", "s") if "s" in cfg["solution"]["states"][0] else ("t", "x", "rho", "u")

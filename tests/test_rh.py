@@ -15,7 +15,6 @@ from shockaudit.rh import (
     RhResidual,
     ShockJump,
     entropy_admissible,
-    fourier_entropy_flux,
     hugoniot_solve_barotropic,
     hugoniot_solve_full,
     interface_energy_rate,
@@ -369,14 +368,6 @@ class TestAdmissibility:
         bad = ShockJump(left=LEFT, right=FluidState(2.0, 1.5), n=1.0, v_s=0.0)
         with pytest.raises(InvalidJumpError):
             entropy_admissible(bad, GAMMA2)
-
-
-class TestFourierFlux:
-    def test_zero_gradient_gives_zero_flux(self):
-        assert fourier_entropy_flux(IDEAL, FluidState(1.0, 0.0, 0.0), 0.0, kappa=2.0) == 0.0
-
-    def test_downgradient_sign(self):
-        assert fourier_entropy_flux(IDEAL, FluidState(1.0, 0.0, 0.0), 1.0, kappa=2.0) < 0.0
 
 
 class TestResidualRecord:

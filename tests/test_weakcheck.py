@@ -14,7 +14,6 @@ from shockaudit.weakcheck import (
     SpacetimeQuadrature,
     mass_integral,
     moving_domain_mass_rate,
-    normal_speed_levelset,
     standard_battery,
     weak_residual,
     weak_residuals,
@@ -253,21 +252,18 @@ def _slab_cases():
     mov = moving_barotropic()
     t_mid = 0.3
     on_shock = mov.shock_position(0, t_mid)
-    yield "stationary", perturbed_example(0.1), BumpTestFunction(0.25, 0.0, 0.15, 0.3), True
+    yield "stationary", perturbed_example(0.1), BumpTestFunction(0.25, 0.0, 0.15, 0.3)
     # The shock runs through the box and out of its right edge mid-support.
-    yield "moving", mov, BumpTestFunction(t_mid, on_shock + 0.1, 0.15, 0.3), True
-    yield "two-shock", two_shock(), BumpTestFunction(0.3, 0.1, 0.2, 0.45), True
-    yield "material", material_domain(), BumpTestFunction(0.25, 0.05, 0.1, 0.3), True
-    # Unaligned: the shock crosses the box midpoint inside the only slab, so
-    # the region must be looked up per time node.
-    yield "unaligned-moving", mov, BumpTestFunction(t_mid, on_shock, 0.15, 0.3), False
+    yield "moving", mov, BumpTestFunction(t_mid, on_shock + 0.1, 0.15, 0.3)
+    yield "two-shock", two_shock(), BumpTestFunction(0.3, 0.1, 0.2, 0.45)
+    yield "material", material_domain(), BumpTestFunction(0.25, 0.05, 0.1, 0.3)
     yield "sum-of-bumps", mov, BumpSum(
         BumpTestFunction(0.25, mov.shock_position(0, 0.25), 0.1, 0.2),
         BumpTestFunction(0.35, mov.shock_position(0, 0.35) - 0.1, 0.12, 0.25),
-    ), True
+    )
     yield "sum-of-bumps-two-shock", two_shock(), BumpSum(
         BumpTestFunction(0.3, -0.1, 0.15, 0.3), BumpTestFunction(0.25, 0.25, 0.1, 0.2)
-    ), True
+    )
 
 
 SLAB_CASES = list(_slab_cases())
@@ -277,30 +273,20 @@ class TestSlabQuadratureAgainstLoop:
     """The per-slab tensor quadrature against a per-time-node loop oracle."""
 
     @pytest.mark.parametrize("order,panels", [(2, 2), (4, 4), (8, 16)])
-    @pytest.mark.parametrize("name,sol,h,aligned", SLAB_CASES, ids=[c[0] for c in SLAB_CASES])
-    def test_matches_loop_oracle(self, name, sol, h, aligned, order, panels):
-        quad = SpacetimeQuadrature(order=order, panels=panels, shock_aligned=aligned)
+    @pytest.mark.parametrize("name,sol,h", SLAB_CASES, ids=[c[0] for c in SLAB_CASES])
+    def test_matches_loop_oracle(self, name, sol, h, order, panels):
+        quad = SpacetimeQuadrature(order=order, panels=panels)
         K, gamma = sol.model.K, sol.model.gamma
         comps = ("mass", "momentum", "energy")
         laws = [baro_laws(K, gamma, s.rho, s.u) for s in sol.states]
         # One oracle pass for all components: (U, F) per region as vectors.
         regions = [tuple(np.array(v) for v in zip(*(law[c] for c in comps))) for law in laws]
-        refs = loop_weak_residual(
-            regions, sol.shock_positions_t0, sol.shock_speeds, h, order, panels, aligned
-        )
+        refs = loop_weak_residual(regions, sol.shock_positions_t0, sol.shock_speeds, h, order, panels)
         shared = weak_residuals(sol, comps, h, quad)
         for i, comp in enumerate(comps):
             scale = max(max(abs(U[i]), abs(F[i])) for U, F in regions)
             assert abs(weak_residual(sol, comp, h, quad) - refs[i]) <= 1e-13 * scale
             assert abs(shared[i] - refs[i]) <= 1e-13 * scale
-
-    def test_unaligned_region_changes_inside_the_slab(self):
-        # Guard on the case itself: the shock really crosses the box
-        # midpoint during the support, so the two regions both contribute.
-        _, mov, bump, _ = SLAB_CASES[4]
-        t_lo, t_hi, x_lo, x_hi = bump.support()
-        centre = 0.5 * (x_lo + x_hi)
-        assert mov.region_index(t_lo, centre) != mov.region_index(t_hi, centre)
 
 
 class CountingTestFunction:
@@ -334,15 +320,15 @@ class TestSharedEvaluation:
     """weak_residuals shares one set of h evaluations across the requested laws."""
 
     @pytest.mark.parametrize("laws", LAW_SETS, ids="+".join)
-    @pytest.mark.parametrize("name,sol,h,aligned", SLAB_CASES, ids=[c[0] for c in SLAB_CASES])
-    def test_equals_single_law_residuals_bit_for_bit(self, name, sol, h, aligned, laws):
-        quad = SpacetimeQuadrature(order=4, panels=4, shock_aligned=aligned)
+    @pytest.mark.parametrize("name,sol,h", SLAB_CASES, ids=[c[0] for c in SLAB_CASES])
+    def test_equals_single_law_residuals_bit_for_bit(self, name, sol, h, laws):
+        quad = SpacetimeQuadrature(order=4, panels=4)
         shared = weak_residuals(sol, laws, h, quad)
         assert shared == [weak_residual(sol, law, h, quad) for law in laws]
 
     @pytest.mark.parametrize("laws", LAW_SETS, ids="+".join)
     def test_evaluates_the_points_of_one_single_law_call(self, laws):
-        _, sol, h, _ = SLAB_CASES[2]
+        _, sol, h = SLAB_CASES[2]
         single, shared = CountingTestFunction(h), CountingTestFunction(h)
         weak_residual(sol, "mass", single)
         weak_residuals(sol, laws, shared)
@@ -428,26 +414,6 @@ class TestStandardBattery:
             t_lo, t_hi, x_lo, x_hi = bump.support()
             assert sol.horizon[0] <= t_lo and t_hi <= sol.horizon[1]
             assert -1.0 <= x_lo and x_hi <= 1.0
-
-
-class TestNormalSpeedLevelset:
-    def test_uniform_translation(self):
-        f = lambda t, x: x - 0.7 * t
-        assert normal_speed_levelset(f, (0.3, 0.21)) == pytest.approx(0.7, rel=1e-8)
-
-    def test_static_interface(self):
-        assert normal_speed_levelset(lambda t, x: x, (0.0, 0.0)) == pytest.approx(0.0, abs=1e-10)
-
-    def test_analytic_derivatives(self):
-        f = lambda t, x: x - math.sin(t)
-        speed = normal_speed_levelset(
-            f, (0.0, 0.0), dfdt=lambda t, x: -math.cos(t), dfdx=lambda t, x: 1.0
-        )
-        assert speed == pytest.approx(1.0, abs=1e-15)
-
-    def test_degenerate_gradient(self):
-        with pytest.raises(NumericalError):
-            normal_speed_levelset(lambda t, x: t, (0.0, 0.0))
 
 
 class TestMovingDomainMassRate:
