@@ -672,9 +672,14 @@ class TestFvRunValidation:
             {"cfl": float("nan")},
             {"snapshots": -2},
             {"snapshots": 2.5},
-            # The shock is always tracked and sampled 6 cells from the interface.
-            {"track_shock": True},
+            # The shock is always tracked and sampled 6 cells from the interface,
+            # so any track_shock or k_sample is an unknown task key.
+            {"k_sample": 0},
+            {"k_sample": 2.0},
             {"k_sample": 6},
+            {"track_shock": "yes"},
+            {"track_shock": 1},
+            {"track_shock": True},
             {"bc": "reflective"},
         ],
         ids=lambda task: "-".join(f"{k}={v!r}" for k, v in task.items()),

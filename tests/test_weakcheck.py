@@ -257,6 +257,9 @@ def _slab_cases():
     yield "moving", mov, BumpTestFunction(t_mid, on_shock + 0.1, 0.15, 0.3)
     yield "two-shock", two_shock(), BumpTestFunction(0.3, 0.1, 0.2, 0.45)
     yield "material", material_domain(), BumpTestFunction(0.25, 0.05, 0.1, 0.3)
+    # Unaligned: the shock crosses no x-edge of the box, so the only slab
+    # spans the whole support while the shock crosses the box midpoint.
+    yield "unaligned-moving", mov, BumpTestFunction(t_mid, on_shock, 0.15, 0.3)
     yield "sum-of-bumps", mov, BumpSum(
         BumpTestFunction(0.25, mov.shock_position(0, 0.25), 0.1, 0.2),
         BumpTestFunction(0.35, mov.shock_position(0, 0.35) - 0.1, 0.12, 0.25),
@@ -287,6 +290,14 @@ class TestSlabQuadratureAgainstLoop:
             scale = max(max(abs(U[i]), abs(F[i])) for U, F in regions)
             assert abs(weak_residual(sol, comp, h, quad) - refs[i]) <= 1e-13 * scale
             assert abs(shared[i] - refs[i]) <= 1e-13 * scale
+
+    def test_unaligned_region_changes_inside_the_slab(self):
+        # Guard on the case itself: the shock really crosses the box
+        # midpoint during the support, so the two regions both contribute.
+        _, mov, bump = SLAB_CASES[4]
+        t_lo, t_hi, x_lo, x_hi = bump.support()
+        centre = 0.5 * (x_lo + x_hi)
+        assert mov.region_index(t_lo, centre) != mov.region_index(t_hi, centre)
 
 
 class CountingTestFunction:
