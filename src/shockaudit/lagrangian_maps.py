@@ -30,8 +30,8 @@ def _as_callable(val) -> ReferenceDensity:
     return lambda X: c
 
 
-def _adaptive_simpson(f, a, b, tol=1e-10, max_depth=50):
-    """Adaptive Simpson quadrature with Richardson acceptance."""
+def _adaptive_simpson(f, a, b):
+    """Adaptive Simpson quadrature with Richardson acceptance, to 1e-10 within 50 halvings."""
 
     def simpson(lo, hi, flo, fmid, fhi):
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
@@ -44,7 +44,7 @@ def _adaptive_simpson(f, a, b, tol=1e-10, max_depth=50):
         fr = f(rmid)
         left = simpson(lo, mid, flo, fl, fmid)
         right = simpson(mid, hi, fmid, fr, fhi)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
+        if depth >= 50 or abs(left + right - whole) <= 15.0 * eps:
             return left + right + (left + right - whole) / 15.0
         return recurse(lo, mid, flo, fl, fmid, left, 0.5 * eps, depth + 1) + recurse(
             mid, hi, fmid, fr, fhi, right, 0.5 * eps, depth + 1
@@ -54,7 +54,7 @@ def _adaptive_simpson(f, a, b, tol=1e-10, max_depth=50):
         return 0.0
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+    return recurse(a, b, fa, fm, fb, whole, 1e-10, 0)
 
 
 @dataclass(frozen=True)

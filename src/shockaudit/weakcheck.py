@@ -9,8 +9,9 @@ Gauss quadrature evaluates the residual to near machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,22 +23,27 @@ COMPONENTS = ("mass", "momentum", "energy")
 
 
 def _mollifier(xi):
-    """exp(1 - 1/(1 - xi^2)) on |xi| < 1, identically zero outside."""
+    """(m, m') of m(xi) = exp(1 - 1/(1 - xi^2)) on |xi| < 1, both identically zero outside.
+
+    One exp per node serves both values.  Outside the interval w <= 0 makes
+    the arithmetic overflow or divide by zero; those nodes are discarded.
+    """
     xi = np.asarray(xi, dtype=float)
-    out = np.zeros_like(xi)
     inside = np.abs(xi) < 1.0
-    w = 1.0 - xi[inside] ** 2
-    out[inside] = np.exp(1.0 - 1.0 / w)
-    return out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = 1.0 - xi ** 2
+        e = np.exp(1.0 - 1.0 / w)
+        e_prime = e * (-2.0 * xi / w ** 2)
+    return np.where(inside, e, 0.0), np.where(inside, e_prime, 0.0)
 
 
-def _mollifier_prime(xi):
-    xi = np.asarray(xi, dtype=float)
-    out = np.zeros_like(xi)
-    inside = np.abs(xi) < 1.0
-    w = 1.0 - xi[inside] ** 2
-    out[inside] = np.exp(1.0 - 1.0 / w) * (-2.0 * xi[inside] / w ** 2)
-    return out
+@functools.cache
+def _gauss_legendre(order):
+    """Read-only Gauss-Legendre (nodes, weights) on [-1, 1], built once per order."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 @dataclass(frozen=True)
@@ -62,23 +68,15 @@ class BumpTestFunction:
         return (self.t0 - self.rt, self.t0 + self.rt, self.x0 - self.rx, self.x0 + self.rx)
 
     def value(self, t, x):
-        return _mollifier((np.asarray(t) - self.t0) / self.rt) * _mollifier(
-            (np.asarray(x) - self.x0) / self.rx
-        )
+        m_t, _ = _mollifier((np.asarray(t) - self.t0) / self.rt)
+        m_x, _ = _mollifier((np.asarray(x) - self.x0) / self.rx)
+        return m_t * m_x
 
-    def dt(self, t, x):
-        return (
-            _mollifier_prime((np.asarray(t) - self.t0) / self.rt)
-            / self.rt
-            * _mollifier((np.asarray(x) - self.x0) / self.rx)
-        )
-
-    def dx(self, t, x):
-        return (
-            _mollifier((np.asarray(t) - self.t0) / self.rt)
-            * _mollifier_prime((np.asarray(x) - self.x0) / self.rx)
-            / self.rx
-        )
+    def grad(self, t, x):
+        """(dh/dt, dh/dx) at broadcastable t and x, one mollifier pass per axis."""
+        m_t, m_t_prime = _mollifier((np.asarray(t) - self.t0) / self.rt)
+        m_x, m_x_prime = _mollifier((np.asarray(x) - self.x0) / self.rx)
+        return m_t_prime / self.rt * m_x, m_t * m_x_prime / self.rx
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,6 @@ class SpacetimeQuadrature:
 
     order: int = 8
     panels: int = 16
-    _gauss: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("order", "panels"):
@@ -103,10 +100,8 @@ class SpacetimeQuadrature:
                 raise InvalidStateError(f"quadrature {name} must be a positive integer, got {value!r}")
 
     def nodes(self):
-        """Gauss-Legendre (nodes, weights) on [-1, 1], computed on first use and kept."""
-        if self._gauss is None:
-            object.__setattr__(self, "_gauss", np.polynomial.legendre.leggauss(self.order))
-        return self._gauss
+        """Gauss-Legendre (nodes, weights) on [-1, 1], shared by every rule of this order."""
+        return _gauss_legendre(int(self.order))
 
 
 def _panel_nodes(lo, hi, panels, base_nodes, base_weights):
@@ -172,16 +167,17 @@ def weak_residuals(
 ) -> list[float]:
     """Spacetime residuals of the requested conservation laws against the test function h.
 
-    h needs dt/dx methods and a support() box (BumpTestFunction or any
-    linear combination with the same surface).  dt and dx receive
-    broadcastable arrays, t of shape (nt, 1) and x of shape (nt, nx), and
-    must return values broadcastable to (nt, nx).  A residual is zero up to
-    quadrature error iff the candidate satisfies both the bulk equation and
-    the jump condition of its component wherever h is supported.
+    h needs a support() box and a grad(t, x) method returning the pair
+    (dh/dt, dh/dx) (BumpTestFunction or any linear combination with the same
+    surface).  grad receives broadcastable arrays, t of shape (nt, 1) and x
+    of shape (nt, nx), and both values must broadcast to (nt, nx).  A
+    residual is zero up to quadrature error iff the candidate satisfies both
+    the bulk equation and the jump condition of its component wherever h is
+    supported.
 
     Between consecutive time cuts the shocks inside the box are fixed, so
     every sub-region's x-breakpoints are linear in t and each (time slab,
-    sub-region) pair is one (nt, nx) tensor evaluation of h.  Only the
+    sub-region) pair is one (nt, nx) tensor evaluation of h.grad.  Only the
     per-region constants (U, F) depend on the law, so the space integrals of
     h_t and h_x are formed once and shared by every component.
     """
@@ -205,8 +201,9 @@ def weak_residuals(
         for lo, hi in zip(breaks, breaks[1:]):
             region = np.count_nonzero(shock_xs < 0.5 * (lo + hi), axis=0)
             xs, wxs = _panel_nodes(lo, hi, quad.panels, base_nodes, base_weights)
-            a = (wxs * h.dt(ts[:, None], xs)).sum(axis=1)
-            b = (wxs * h.dx(ts[:, None], xs)).sum(axis=1)
+            h_t, h_x = h.grad(ts[:, None], xs)
+            a = (wxs * h_t).sum(axis=1)
+            b = (wxs * h_x).sum(axis=1)
             for acc, law in zip(accs, consts):
                 U, F = law[region].T
                 acc += U * a

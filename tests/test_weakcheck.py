@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import baro_laws, loop_weak_residual
+from oracles import baro_laws, loop_weak_residual, mollifier, mollifier_prime
 
 from shockaudit.eos import FluidState, GasModel
 from shockaudit.errors import DomainError, InvalidStateError, NumericalError
@@ -12,6 +13,7 @@ from shockaudit.shock1d import Domain1D, PiecewiseShockSolution, stationary_shoc
 from shockaudit.weakcheck import (
     BumpTestFunction,
     SpacetimeQuadrature,
+    _mollifier,
     mass_integral,
     moving_domain_mass_rate,
     standard_battery,
@@ -32,14 +34,72 @@ def perturbed_example(du=0.1):
     )
 
 
+def _special_points():
+    below_one = np.nextafter(1.0, 0.0)
+    return [1.0, -1.0, below_one, -below_one, 0.0, -0.0, 1e-300]
+
+
+def _mollifier_inputs():
+    rng = np.random.default_rng(7)
+    yield "linspace", np.linspace(-1.5, 1.5, 100001)
+    yield "special", np.array(_special_points())
+    for v in _special_points() + [0.5, -1.5]:
+        yield f"scalar{v!r}", v
+    yield "column", rng.uniform(-1.2, 1.2, (64, 1))
+    grid = rng.uniform(-1.2, 1.2, (64, 128))
+    grid[0, :7] = _special_points()
+    yield "tensor", grid
+
+
+MOLLIFIER_INPUTS = list(_mollifier_inputs())
+
+
+class TestMollifier:
+    """One-pass (m, m') against the gather/scatter reference, bit for bit."""
+
+    @pytest.mark.parametrize("name,xi", MOLLIFIER_INPUTS, ids=[c[0] for c in MOLLIFIER_INPUTS])
+    def test_bit_equal_to_gather_scatter_reference(self, name, xi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m, m_prime = _mollifier(xi)
+        for got, ref in ((m, mollifier(xi)), (m_prime, mollifier_prime(xi))):
+            got = np.asarray(got)
+            assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name,xi", MOLLIFIER_INPUTS, ids=[c[0] for c in MOLLIFIER_INPUTS])
+    def test_zero_outside_the_open_interval(self, name, xi):
+        xi = np.asarray(xi, dtype=float)
+        outside = np.abs(xi) >= 1.0
+        m, m_prime = _mollifier(xi)
+        assert np.all(m[outside] == 0.0)
+        assert np.all(m_prime[outside] == 0.0)
+
+
+class GatherScatterBump:
+    """A bump's gradient from the reference mollifier pair: (m'(tau)/rt) m(xi) and (m(tau) m'(xi))/rx."""
+
+    def __init__(self, bump):
+        self.bump = bump
+
+    def support(self):
+        return self.bump.support()
+
+    def grad(self, t, x):
+        b = self.bump
+        tau = (np.asarray(t) - b.t0) / b.rt
+        xi = (np.asarray(x) - b.x0) / b.rx
+        return mollifier_prime(tau) / b.rt * mollifier(xi), mollifier(tau) * mollifier_prime(xi) / b.rx
+
+
 class TestBumpProfile:
     def test_peak_and_support(self):
         bump = BumpTestFunction(0.3, 0.1, 0.2, 0.25)
         assert bump.value(0.3, 0.1) == pytest.approx(1.0)
         assert bump.value(0.3, 0.1 + 0.25) == 0.0
         assert bump.value(0.3 + 0.2, 0.1) == 0.0
-        assert bump.dt(0.3 - 0.2, 0.1) == 0.0
-        assert bump.dx(0.3, 0.1 + 0.25) == 0.0
+        assert bump.grad(0.3 - 0.2, 0.1)[0] == 0.0
+        assert bump.grad(0.3, 0.1 + 0.25)[1] == 0.0
 
     def test_derivatives_match_finite_differences(self):
         bump = BumpTestFunction(0.3, 0.1, 0.2, 0.25)
@@ -47,8 +107,9 @@ class TestBumpProfile:
         t, x = 0.35, 0.02
         dt_fd = (bump.value(t + h, x) - bump.value(t - h, x)) / (2.0 * h)
         dx_fd = (bump.value(t, x + h) - bump.value(t, x - h)) / (2.0 * h)
-        assert bump.dt(t, x) == pytest.approx(float(dt_fd), rel=1e-6)
-        assert bump.dx(t, x) == pytest.approx(float(dx_fd), rel=1e-6)
+        h_t, h_x = bump.grad(t, x)
+        assert h_t == pytest.approx(float(dt_fd), rel=1e-6)
+        assert h_x == pytest.approx(float(dx_fd), rel=1e-6)
 
     def test_positive_radii_required(self):
         with pytest.raises(InvalidStateError):
@@ -118,11 +179,9 @@ class TestWeakResidual:
             def value(self, t, x):
                 return self.coeff * self.fn.value(t, x)
 
-            def dt(self, t, x):
-                return self.coeff * self.fn.dt(t, x)
-
-            def dx(self, t, x):
-                return self.coeff * self.fn.dx(t, x)
+            def grad(self, t, x):
+                h_t, h_x = self.fn.grad(t, x)
+                return self.coeff * h_t, self.coeff * h_x
 
         class Combination(OnBox):
             def __init__(self, parts, box):
@@ -135,11 +194,9 @@ class TestWeakResidual:
             def value(self, t, x):
                 return sum(p.value(t, x) for p in self.parts)
 
-            def dt(self, t, x):
-                return sum(p.dt(t, x) for p in self.parts)
-
-            def dx(self, t, x):
-                return sum(p.dx(t, x) for p in self.parts)
+            def grad(self, t, x):
+                grads = [p.grad(t, x) for p in self.parts]
+                return sum(g[0] for g in grads), sum(g[1] for g in grads)
 
         b1 = BumpTestFunction(0.2, -0.1, 0.1, 0.2)
         b2 = BumpTestFunction(0.3, 0.15, 0.12, 0.18)
@@ -189,7 +246,7 @@ class TestWeakResidual:
 
 
 class BumpSum:
-    """Sum of bumps on their union box, exposing only dt, dx and support."""
+    """Sum of bumps on their union box, exposing only grad and support."""
 
     def __init__(self, *bumps):
         boxes = [b.support() for b in bumps]
@@ -204,11 +261,9 @@ class BumpSum:
     def support(self):
         return self.box
 
-    def dt(self, t, x):
-        return sum(b.dt(t, x) for b in self.bumps)
-
-    def dx(self, t, x):
-        return sum(b.dx(t, x) for b in self.bumps)
+    def grad(self, t, x):
+        grads = [b.grad(t, x) for b in self.bumps]
+        return sum(g[0] for g in grads), sum(g[1] for g in grads)
 
 
 def moving_barotropic():
@@ -291,6 +346,17 @@ class TestSlabQuadratureAgainstLoop:
             assert abs(weak_residual(sol, comp, h, quad) - refs[i]) <= 1e-13 * scale
             assert abs(shared[i] - refs[i]) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("name,sol,h", SLAB_CASES[:5], ids=[c[0] for c in SLAB_CASES[:5]])
+    def test_residuals_bit_equal_to_gather_scatter_gradient(self, name, sol, h):
+        comps = ("mass", "momentum", "energy")
+        assert weak_residuals(sol, comps, h) == weak_residuals(sol, comps, GatherScatterBump(h))
+
+    @pytest.mark.parametrize("sol", [perturbed_example(0.1), moving_barotropic(), two_shock()], ids=["stationary", "moving", "two-shock"])
+    def test_battery_bit_equal_to_gather_scatter_gradient(self, sol):
+        comps = ("mass", "momentum", "energy")
+        for bump in standard_battery(sol, count=10, seed=5):
+            assert weak_residuals(sol, comps, bump) == weak_residuals(sol, comps, GatherScatterBump(bump))
+
     def test_unaligned_region_changes_inside_the_slab(self):
         # Guard on the case itself: the shock really crosses the box
         # midpoint during the support, so the two regions both contribute.
@@ -301,7 +367,7 @@ class TestSlabQuadratureAgainstLoop:
 
 
 class CountingTestFunction:
-    """Wraps a test function and counts the points at which dt and dx are evaluated."""
+    """Wraps a test function and counts the points at which grad is evaluated."""
 
     def __init__(self, h):
         self.h = h
@@ -311,17 +377,10 @@ class CountingTestFunction:
     def support(self):
         return self.h.support()
 
-    def _count(self, t, x):
+    def grad(self, t, x):
         self.calls += 1
         self.points += np.broadcast(t, x).size
-
-    def dt(self, t, x):
-        self._count(t, x)
-        return self.h.dt(t, x)
-
-    def dx(self, t, x):
-        self._count(t, x)
-        return self.h.dx(t, x)
+        return self.h.grad(t, x)
 
 
 LAW_SETS = [("mass", "momentum"), ("momentum", "energy"), ("mass", "momentum", "energy"), ("energy", "mass")]
@@ -391,6 +450,16 @@ class TestQuadratureGuards:
         for got, expected in zip(quad.nodes(), np.polynomial.legendre.leggauss(5)):
             assert np.array_equal(got, expected)
         assert quad == SpacetimeQuadrature(order=5, panels=2)
+        # Equal orders share one rule across instances, whatever the panels.
+        for other in (SpacetimeQuadrature(order=5, panels=7), SpacetimeQuadrature(order=np.int64(5))):
+            assert all(a is b for a, b in zip(other.nodes(), quad.nodes()))
+        assert SpacetimeQuadrature(order=6).nodes()[0] is not quad.nodes()[0]
+
+    def test_shared_nodes_are_read_only(self):
+        for arr in SpacetimeQuadrature(order=5).nodes():
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_numpy_integers_accepted(self):
         assert SpacetimeQuadrature(order=np.int64(4), panels=np.int32(2)).order == 4
