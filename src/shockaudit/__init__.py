@@ -5,8 +5,7 @@ from .rh import (
     RhResidual,
     ShockJump,
     entropy_admissible,
-    hugoniot_solve_barotropic,
-    hugoniot_solve_full,
+    hugoniot_solve,
     rh_residuals,
     shock_speed_from_mass,
 )
@@ -25,7 +24,7 @@ from .lagrangian_maps import (
     calibrate_lambda,
     calibrated_flow_map,
 )
-from .weakcheck import BumpTestFunction, SpacetimeQuadrature, weak_residual, weak_residuals
+from .weakcheck import BumpTestFunction, SpacetimeQuadrature, weak_residuals
 
 __version__ = "0.1.0"
 
@@ -36,8 +35,7 @@ __all__ = [
     "RhResidual",
     "ShockJump",
     "entropy_admissible",
-    "hugoniot_solve_barotropic",
-    "hugoniot_solve_full",
+    "hugoniot_solve",
     "rh_residuals",
     "shock_speed_from_mass",
     "Domain1D",
@@ -53,7 +51,6 @@ __all__ = [
     "calibrated_flow_map",
     "BumpTestFunction",
     "SpacetimeQuadrature",
-    "weak_residual",
     "weak_residuals",
     "__version__",
 ]

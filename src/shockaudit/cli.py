@@ -24,7 +24,6 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import RunConfig, dumps_deterministic, format_float
-from .eos import FluidState
 from .errors import (
     ConfigError,
     ConfigParseError,
@@ -34,8 +33,8 @@ from .errors import (
 )
 from .fv_solver import Grid1D, ShockTrack, Snapshots, entropy_density_cells, field_from_solution
 from .fv_solver import measure_shock, simulate
-from .lagrangian_maps import augmented_energy_rate, calibrate_lambda, calibrated_flow_map
-from .rh import gated_residual, hugoniot_solve_barotropic, hugoniot_solve_full, rh_residuals, ShockJump
+from .lagrangian_maps import augmented_energy_rate, calibrated_flow_map
+from .rh import gated_residual, hugoniot_solve, rh_residuals
 from .shock1d import stationary_shock_example, volume_potential_mismatch
 from .weakcheck import BumpTestFunction, SpacetimeQuadrature, standard_battery, weak_residuals
 
@@ -210,8 +209,8 @@ def _run_energy_audit(cfg: RunConfig):
     else:
         sol = stationary_shock_example(float(cfg.task["gamma"]))
     dedt, neg_dvdt, gap = volume_potential_mismatch(sol)
-    lam_l, lam_r = calibrate_lambda(sol)
     fmap = calibrated_flow_map(sol)
+    lam_l, lam_r = fmap.reference_densities
     aug = augmented_energy_rate(sol, fmap)
     tol = cfg.tolerances["augmented"]
     summary = {
@@ -246,23 +245,17 @@ def _run_rh_solve(cfg: RunConfig):
         left = cfgmod.state_from_dict(cfg.task["left"], "task.left")
         rho_right = float(cfg.task["rho_right"])
         branch = cfg.task.get("branch", "admissible")
-        if model.carries_entropy:
-            u_r, s_r, v_s = hugoniot_solve_full(left, rho_right, model, branch=branch)
-            right = FluidState(rho_right, u_r, s_r)
-        else:
-            u_r, v_s = hugoniot_solve_barotropic(left, rho_right, model, branch=branch)
-            right = FluidState(rho_right, u_r)
-        jump = ShockJump(left=left, right=right, n=1.0, v_s=v_s)
+        jump = hugoniot_solve(left, rho_right, model, branch=branch)
         summary = {
             "mode": "solve",
             "branch": branch,
-            "u_right": u_r,
-            "v_s": v_s,
+            "u_right": jump.right.u,
+            "v_s": jump.v_s,
             "left": cfgmod.state_to_dict(left),
-            "right": cfgmod.state_to_dict(right),
+            "right": cfgmod.state_to_dict(jump.right),
         }
         if model.carries_entropy:
-            summary["s_right"] = s_r
+            summary["s_right"] = jump.right.s
     res = rh_residuals(jump, model)
     worst = gated_residual(res, model)
     summary.update(
@@ -304,7 +297,7 @@ def _run_fv(cfg: RunConfig):
         "shock_position_series": [[t, x] for t, x in track.points],
         "measured_residuals": measurement.residual.as_dict(),
         "measured_position": measurement.position,
-        "measured_v_s": measurement.v_s,
+        "measured_v_s": measurement.jump.v_s,
         "model": cfgmod.model_to_dict(model),
         "audit": {"max_drift": drift, "tolerance": tol, "pass": drift <= tol},
     }

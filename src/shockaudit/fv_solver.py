@@ -113,17 +113,6 @@ def _primitives(model: GasModel, U: np.ndarray):
     return U[1] / rho, p, sound_speed_from(model, rho, p)
 
 
-def flux(model: GasModel, U) -> np.ndarray:
-    """Physical flux F(U); accepts one cell (1D vector) or a block (2D)."""
-    arr = np.asarray(U, dtype=float)
-    if arr.shape[0] != _n_comp(model):
-        raise InvalidStateError(
-            f"model expects {_n_comp(model)} conserved components, got {arr.shape[0]}"
-        )
-    u, p, _ = _primitives(model, arr)
-    return np.array(physical_flux(arr, u, p))
-
-
 def _active_window(U: np.ndarray, bc: str) -> tuple[int, int, bool]:
     """(lo, hi, wrap): the cells lo:hi a step can change, and whether their
     ghost cells wrap around.
@@ -158,17 +147,10 @@ def _cell_block(model: GasModel, U: np.ndarray) -> tuple[np.ndarray, float, floa
     k, n = U.shape
     u, p, c = _primitives(model, U)
 
-    # F(U) is written in place in eos.physical_flux's operation order (U[1],
-    # U[1] u + p, (U[2] + p) u), so its bits are physical_flux's.
     cells = np.empty((2 * k + 2, n + 2))
     inner = cells[:, 1:-1]
     inner[:k] = U
-    inner[k] = U[1]
-    np.multiply(U[1], u, out=inner[k + 1])
-    inner[k + 1] += p
-    if k == 3:
-        np.add(U[2], p, out=inner[k + 2])
-        inner[k + 2] *= u
+    inner[k:2 * k] = physical_flux(U, u, p)
     np.subtract(u, c, out=inner[2 * k])
     np.add(u, c, out=inner[2 * k + 1])
 
@@ -345,9 +327,7 @@ def locate_shock(
 @dataclass
 class ShockMeasurement:
     position: float
-    v_s: float
-    left_state: FluidState
-    right_state: FluidState
+    jump: ShockJump
     residual: RhResidual
 
 
@@ -369,13 +349,7 @@ def measure_shock(model: GasModel, grid: Grid1D, field: ConservedField, trajecto
         ts, xs = np.asarray(trajectory).T
         v_s = float(np.polyfit(ts, xs, 1)[0])
     jump = ShockJump(left=left, right=right, n=1.0, v_s=v_s)
-    return ShockMeasurement(
-        position=x_s,
-        v_s=v_s,
-        left_state=left,
-        right_state=right,
-        residual=rh_residuals(jump, model),
-    )
+    return ShockMeasurement(position=x_s, jump=jump, residual=rh_residuals(jump, model))
 
 
 class ShockTrack:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .eos import energy_density, pressure
+from .eos import balance_terms
 from .errors import CalibrationError, DomainError, InvalidStateError
 from .rh import jump_residual
 from .shock1d import PiecewiseShockSolution, energy_rate
@@ -207,16 +207,15 @@ def lambda_jump_defect(sol: PiecewiseShockSolution, flow_map: FlowMap1D, i: int 
 def augmented_jump_residual(sol: PiecewiseShockSolution, flow_map: FlowMap1D) -> float:
     """Conservative jump residual of E - lambda on the first shock at t = 0.
 
-    The conserved combination inherits E's flux less lambda's transport:
-    v_s [[E - lambda]] - [[(E + p - lambda) u]] . n, which vanishes exactly
+    The conserved combination inherits E's flux (E + p) u, from
+    eos.balance_terms, less lambda's transport lambda u:
+    v_s [[E - lambda]] - [[(E + p) u - lambda u]] . n, which vanishes exactly
     for calibrated lambdas.
     """
     left, right = sol.states[0], sol.states[1]
     lam_l, lam_r = flow_map.lambda_at_shock(0.0, 0)
-    e_l = energy_density(sol.model, left)
-    e_r = energy_density(sol.model, right)
-    p_l = pressure(sol.model, left)
-    p_r = pressure(sol.model, right)
-    f_l = (e_l + p_l - lam_l) * left.u
-    f_r = (e_r + p_r - lam_r) * right.u
-    return jump_residual(sol.shock_speeds[0], 1.0, e_l - lam_l, e_r - lam_r, f_l, f_r)
+    U_l, F_l = balance_terms(sol.model, left)
+    U_r, F_r = balance_terms(sol.model, right)
+    f_l = F_l[2] - lam_l * left.u
+    f_r = F_r[2] - lam_r * right.u
+    return jump_residual(sol.shock_speeds[0], 1.0, U_l[2] - lam_l, U_r[2] - lam_r, f_l, f_r)

@@ -1,4 +1,4 @@
-"""Rankine-Hugoniot residuals, jump solvers, and admissibility tests.
+"""Rankine-Hugoniot residuals, the Hugoniot jump solver, and admissibility tests.
 
 Conventions used throughout: the interface normal n is +1 or -1 and points
 from the jump's `left` member toward its `right` member; jump brackets are
@@ -201,14 +201,23 @@ def entropy_admissible(jump: ShockJump, model: GasModel, residual_tol: float = 1
     return _admissibility_margin(jump, model) <= ADMISSIBILITY_TOL
 
 
-def _hugoniot_root(left, rho_right, model, branch):
-    """(u_right, s_right, v_s) on the requested branch of a jump to rho_right.
+def hugoniot_solve(
+    left: FluidState,
+    rho_right: float,
+    model: GasModel,
+    branch: str = "admissible",
+) -> ShockJump:
+    """The jump from left to a state of density rho_right, on the requested branch.
 
     Mass and momentum reduce to the mass-flux relation
-    m^2 = [[p]] / (tau_L - tau_R), whose two roots +-m are the two branches.
-    The models differ only in the downstream pressure: the barotropic EOS
-    at rho_right, or the ideal-gas internal-energy jump relation, which is
-    linear in p_R.  s_right is None for a barotropic model.
+    m^2 = [[p]] / (tau_L - tau_R), whose two roots +-m are the two branches:
+    branch selects the admissible (entropy-satisfying) root or the
+    "inadmissible" companion.  The models differ only in the downstream
+    pressure: the barotropic EOS at rho_right, or the ideal-gas
+    internal-energy jump relation, which is linear in p_R.  The right state
+    carries s exactly when the model does.  Raises NoShockError when the
+    requested compression or expansion leaves the physical branch (for the
+    ideal gas, a density ratio at or beyond (gamma+1)/(gamma-1)).
     """
     require_valid(model, left)
     if not rho_right > 0.0:
@@ -241,52 +250,14 @@ def _hugoniot_root(left, rho_right, model, branch):
     m = math.sqrt(msq)
 
     candidates = []
-    margins = []
     for flux in (m, -m):
         v_s = left.u - flux * tau_l
         u_r = left.u - flux * (tau_l - tau_r)
-        jump = ShockJump(left=left, right=FluidState(rho_right, u_r, s_r), n=1.0, v_s=v_s)
-        candidates.append((u_r, s_r, v_s))
-        margins.append(_admissibility_margin(jump, model))
-    order = sorted(range(2), key=margins.__getitem__)
+        right = FluidState(rho_right, u_r, s_r)
+        candidates.append(ShockJump(left=left, right=right, n=1.0, v_s=v_s))
+    candidates.sort(key=lambda jump: _admissibility_margin(jump, model))
     if branch == "admissible":
-        return candidates[order[0]]
+        return candidates[0]
     if branch == "inadmissible":
-        return candidates[order[1]]
+        return candidates[1]
     raise InvalidStateError(f"unknown branch {branch!r}")
-
-
-def hugoniot_solve_barotropic(
-    left: FluidState,
-    rho_right: float,
-    model: GasModel,
-    branch: str = "admissible",
-) -> tuple[float, float]:
-    """Solve the barotropic jump system for (u_right, v_s) at a prescribed rho_right.
-
-    branch selects the admissible (entropy-satisfying) root or the
-    "inadmissible" companion root; the returned pair zeroes the mass and
-    momentum residuals to machine precision.
-    """
-    if model.carries_entropy:
-        raise InvalidStateError("hugoniot_solve_barotropic needs a barotropic model")
-    u_r, _, v_s = _hugoniot_root(left, rho_right, model, branch)
-    return u_r, v_s
-
-
-def hugoniot_solve_full(
-    left: FluidState,
-    rho_right: float,
-    model: GasModel,
-    branch: str = "admissible",
-) -> tuple[float, float, float]:
-    """Solve the three-law jump system for (u_right, s_right, v_s).
-
-    Uses the ideal-gas internal-energy jump relation, which is linear in the
-    downstream pressure once rho_right is prescribed.  Raises NoShockError
-    when the requested compression or expansion leaves the physical branch
-    (density ratio at or beyond (gamma+1)/(gamma-1)).
-    """
-    if not model.carries_entropy:
-        raise InvalidStateError("hugoniot_solve_full needs an entropy-carrying model")
-    return _hugoniot_root(left, rho_right, model, branch)

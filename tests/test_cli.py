@@ -23,9 +23,9 @@ from shockaudit.config import (
 from shockaudit.eos import FluidState, GasModel
 from shockaudit.errors import ConfigError
 from shockaudit.fv_solver import Grid1D, ShockTrack, Snapshots, entropy_density_cells, field_from_solution, simulate
-from shockaudit.rh import ShockJump, hugoniot_solve_full
+from shockaudit.rh import ShockJump, hugoniot_solve
 from shockaudit.shock1d import stationary_shock_example
-from shockaudit.weakcheck import SpacetimeQuadrature, standard_battery, weak_residual
+from shockaudit.weakcheck import SpacetimeQuadrature, standard_battery, weak_residuals
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -599,7 +599,8 @@ class TestFvRun:
     def test_full_model_adds_entropy_column(self, tmp_path):
         s0 = math.log(1.0 / 0.4)
         model = GasModel.ideal_gas(gamma=1.4)
-        u_r, s_r, v_s = hugoniot_solve_full(FluidState(1.0, 0.0, s0), 2.0, model)
+        jump = hugoniot_solve(FluidState(1.0, 0.0, s0), 2.0, model)
+        u_r, s_r, v_s = jump.right.u, jump.right.s, jump.v_s
         cfg = {
             "model": {"kind": "ideal_gas_entropy", "gamma": 1.4},
             "solution": {
@@ -619,7 +620,8 @@ class TestFvRun:
 
     def test_moving_shock_speed_is_measured(self, tmp_path):
         # measured_v_s is the slope of the tracked shock trajectory.
-        u_r, s_r, v_s = hugoniot_solve_full(FluidState(1.0, 0.0, 0.0), 3.5, GasModel.ideal_gas(gamma=1.4))
+        jump = hugoniot_solve(FluidState(1.0, 0.0, 0.0), 3.5, GasModel.ideal_gas(gamma=1.4))
+        u_r, s_r, v_s = jump.right.u, jump.right.s, jump.v_s
         cfg = {
             "model": {"kind": "ideal_gas_entropy", "gamma": 1.4},
             "solution": {
@@ -725,7 +727,8 @@ class TestFvRunValidation:
 
 def _ideal_moving_shock():
     s0 = math.log(1.0 / 0.4)
-    u_r, s_r, v_s = hugoniot_solve_full(FluidState(1.0, 0.0, s0), 2.0, GasModel.ideal_gas(gamma=1.4))
+    jump = hugoniot_solve(FluidState(1.0, 0.0, s0), 2.0, GasModel.ideal_gas(gamma=1.4))
+    u_r, s_r, v_s = jump.right.u, jump.right.s, jump.v_s
     return {
         "model": {"kind": "ideal_gas_entropy", "gamma": 1.4},
         "solution": {
@@ -897,12 +900,25 @@ class TestWeakVerify:
         summary = read_summary(tmp_path, "weak_verify")
         assert summary["max_abs_residual"] < 1e-8
 
+    def test_material_domain_default_battery_passes(self, tmp_path):
+        # Every bump of the default battery stays inside the material domain
+        # over its whole time support, so the audit runs and passes.
+        cfg = _baro_stationary_shock()
+        cfg["solution"]["domain"]["motion"] = "material"
+        cfg["task"] = {"name": "weak-verify"}
+        cfg["output"] = {"dir": str(tmp_path / "out")}
+        assert main(["--config", write_config(tmp_path, cfg)]) == 0
+        summary = read_summary(tmp_path, "weak_verify")
+        assert summary["n_bumps"] == 20
+        assert summary["max_abs_residual"] < 1e-8
+
     def test_csv_rows_equal_single_component_residuals(self, tmp_path):
         # One shared evaluation per bump, yet the rows stay component-major
         # and each equals the single-component residual exactly.
         model = GasModel.ideal_gas(gamma=1.4)
         left = FluidState(1.0, 0.0, 0.0)
-        u_r, s_r, v_s = hugoniot_solve_full(left, 2.5, model)
+        jump = hugoniot_solve(left, 2.5, model)
+        u_r, s_r, v_s = jump.right.u, jump.right.s, jump.v_s
         cfg = {
             "model": model_to_dict(model),
             "solution": {
@@ -927,7 +943,7 @@ class TestWeakVerify:
         for row, (comp, bump) in zip(rows, expected):
             assert row[0] == comp
             assert [float(v) for v in row[1:5]] == [bump.t0, bump.x0, bump.rt, bump.rx]
-            r = weak_residual(sol, comp, bump, quad)
+            r = weak_residuals(sol, (comp,), bump, quad)[0]
             assert float(row[5]) == r
             worst = max(worst, abs(r))
         assert read_summary(tmp_path, "weak_verify")["max_abs_residual"] == worst

@@ -15,14 +15,13 @@ from shockaudit.fv_solver import (
     Snapshots,
     entropy_density_cells,
     field_from_solution,
-    flux,
     locate_shock,
     measure_shock,
     simulate,
     state_at_cell,
     step,
 )
-from shockaudit.rh import ShockJump, entropy_admissible, hugoniot_solve_barotropic, hugoniot_solve_full
+from shockaudit.rh import entropy_admissible, hugoniot_solve
 from shockaudit.shock1d import Domain1D, PiecewiseShockSolution, evaluate, stationary_shock_example
 
 GAMMA2 = GasModel.barotropic(K=2.0 / 3.0, gamma=2.0)
@@ -39,29 +38,6 @@ class TestGrid:
     def test_minimum_cells(self):
         with pytest.raises(InvalidStateError):
             Grid1D(0.0, 1.0, 3)
-
-
-class TestFlux:
-    def test_barotropic_reference_cell(self):
-        out = flux(GAMMA2, np.array([1.0, 2.0]))
-        assert out[0] == pytest.approx(2.0)
-        assert out[1] == pytest.approx(4.0 + 2.0 / 3.0, abs=1e-14)
-
-    def test_momentum_flux_is_pressure_at_rest(self):
-        out = flux(GAMMA2, np.array([1.5, 0.0]))
-        assert out[0] == 0.0
-        assert out[1] == pytest.approx(pressure(GAMMA2, FluidState(1.5, 0.0)), abs=1e-14)
-
-    def test_full_system_energy_flux(self):
-        state = FluidState(1.0, 2.0, 0.3)
-        E = energy_density(IDEAL, state)
-        p = pressure(IDEAL, state)
-        out = flux(IDEAL, np.array([1.0, 2.0, E]))
-        assert out[2] == pytest.approx((E + p) * 2.0, rel=1e-14)
-
-    def test_vacuum_rejected(self):
-        with pytest.raises(NumericalError):
-            flux(GAMMA2, np.array([-1.0, 0.0]))
 
 
 class TestStep:
@@ -94,6 +70,13 @@ class TestStep:
             fld, _ = step(GAMMA2, grid, fld, cfl=0.5, bc="periodic")
         drift = np.abs(fld.totals(grid) - before) / np.maximum(np.abs(before), 1.0)
         assert np.max(drift) < 1e-10
+
+    def test_vacuum_rejected(self):
+        grid = Grid1D(0.0, 1.0, 8)
+        U = np.tile(np.array([[1.0], [0.0]]), (1, 8))
+        U[0, 4] = -1.0
+        with pytest.raises(NumericalError, match="vacuum generated in cell 4"):
+            step(GAMMA2, grid, ConservedField(U))
 
     def test_bad_cfl_rejected(self):
         grid = Grid1D(0.0, 1.0, 8)
@@ -155,11 +138,27 @@ def loop_hll_step(model, grid, U, cfl, bc):
 class TestKernelAgreement:
     @pytest.mark.parametrize("model", [GAMMA2, IDEAL], ids=["barotropic", "ideal"])
     def test_flux_matches_balance_terms_per_cell(self, model):
+        # The step's F(U) rows, on random cells plus the reference cell (1, 2)
+        # and a cell at rest.
         U, states = random_block(model, 40, seed=5)
-        F = flux(model, U)
+        k = U.shape[0]
+        s = 0.3 if model.carries_entropy else None
+        moving, at_rest = FluidState(1.0, 2.0, s), FluidState(1.5, 0.0, s)
+        U = np.hstack([U, np.array([conserved(model, st)[:k] for st in (moving, at_rest)]).T])
+        states += [moving, at_rest]
+        cells, _, _ = fv_solver._cell_block(model, U)
+        F = cells[k:2 * k, 1:-1]
         for i, state in enumerate(states):
             _, F_state = balance_terms(model, state)
-            np.testing.assert_allclose(F[:, i], F_state[: U.shape[0]], rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(F[:, i], F_state[:k], rtol=1e-14, atol=1e-14)
+        assert F[0, -1] == 0.0
+        assert F[1, -1] == pytest.approx(pressure(model, at_rest), abs=1e-14)
+        if model.carries_entropy:
+            E, p = energy_density(model, moving), pressure(model, moving)
+            assert F[2, -2] == pytest.approx((E + p) * 2.0, rel=1e-14)
+        else:
+            assert F[0, -2] == 2.0
+            assert F[1, -2] == pytest.approx(4.0 + 2.0 / 3.0, abs=1e-14)
 
     def test_entropy_cells_match_state_at_cell(self):
         U, states = random_block(IDEAL, 40, seed=6)
@@ -280,12 +279,12 @@ def _plateau_block(model, grid, states, positions):
 
 def _euler_moving_shock(grid):
     left = FluidState(1.0, 0.0, math.log(1.0 / 0.4))
-    u_r, s_r, v_s = hugoniot_solve_full(left, 2.0, IDEAL)
+    jump = hugoniot_solve(left, 2.0, IDEAL)
     sol = PiecewiseShockSolution(
         model=IDEAL,
-        states=(left, FluidState(2.0, u_r, s_r)),
+        states=(left, jump.right),
         shock_positions_t0=(0.0,),
-        shock_speeds=(v_s,),
+        shock_speeds=(jump.v_s,),
         domain=Domain1D(grid.x_min, grid.x_max),
     )
     return field_from_solution(IDEAL, grid, sol).data
@@ -540,14 +539,12 @@ class TestFieldFromSolution:
         model = IDEAL
         s0 = math.log(1.0 / 0.4)
         left = FluidState(1.0, 0.0, s0)
-        from shockaudit.rh import hugoniot_solve_full
-
-        u_r, s_r, v_s = hugoniot_solve_full(left, 2.0, model)
+        jump = hugoniot_solve(left, 2.0, model)
         sol = PiecewiseShockSolution(
             model=model,
-            states=(left, FluidState(2.0, u_r, s_r)),
+            states=(left, jump.right),
             shock_positions_t0=(0.0,),
-            shock_speeds=(v_s,),
+            shock_speeds=(jump.v_s,),
             domain=Domain1D(-2.0, 1.0),
         )
         grid = Grid1D(-2.0, 1.0, 30)
@@ -579,25 +576,24 @@ class TestMeasureShock:
         grid = Grid1D(-1.0, 1.0, 400)
         result = simulate(sol.model, grid, field_from_solution(sol.model, grid, sol), 0.25)
         meas = measure_shock(sol.model, grid, result.field)
-        jump = ShockJump(left=meas.left_state, right=meas.right_state, n=1.0, v_s=meas.v_s)
-        assert entropy_admissible(jump, sol.model, residual_tol=0.05)
+        assert entropy_admissible(meas.jump, sol.model, residual_tol=0.05)
 
     def test_moving_shock_speed_recovered(self):
         model = GasModel.barotropic(K=1.0, gamma=1.4)
         left = FluidState(1.0, 0.0)
-        u_r, v_s = hugoniot_solve_barotropic(left, 2.0, model)
+        jump = hugoniot_solve(left, 2.0, model)
         sol = PiecewiseShockSolution(
             model=model,
-            states=(left, FluidState(2.0, u_r)),
+            states=(left, jump.right),
             shock_positions_t0=(0.0,),
-            shock_speeds=(v_s,),
+            shock_speeds=(jump.v_s,),
             domain=Domain1D(-1.6, 0.4),
         )
         grid = Grid1D(-1.6, 0.4, 800)
         track = ShockTrack(grid)
         result = simulate(model, grid, field_from_solution(model, grid, sol), 0.4, observers=[track])
         meas = measure_shock(model, grid, result.field, trajectory=track.points)
-        assert meas.v_s == pytest.approx(v_s, rel=0.01)
+        assert meas.jump.v_s == pytest.approx(jump.v_s, rel=0.01)
 
     def test_l1_convergence_order(self):
         sol = stationary_shock_example(2.0)
@@ -616,14 +612,12 @@ class TestFullSystemRun:
         model = IDEAL
         s0 = math.log(1.0 / 0.4)
         left = FluidState(1.0, 0.0, s0)
-        from shockaudit.rh import hugoniot_solve_full
-
-        u_r, s_r, v_s = hugoniot_solve_full(left, 2.0, model)
+        jump = hugoniot_solve(left, 2.0, model)
         sol = PiecewiseShockSolution(
             model=model,
-            states=(left, FluidState(2.0, u_r, s_r)),
+            states=(left, jump.right),
             shock_positions_t0=(0.0,),
-            shock_speeds=(v_s,),
+            shock_speeds=(jump.v_s,),
             domain=Domain1D(-1.6, 0.4),
         )
         grid = Grid1D(-1.6, 0.4, 800)
@@ -631,5 +625,5 @@ class TestFullSystemRun:
         result = simulate(model, grid, field_from_solution(model, grid, sol), 0.3, observers=[track])
         assert np.max(result.conservation_drift) < 1e-10
         meas = measure_shock(model, grid, result.field, trajectory=track.points)
-        assert meas.v_s == pytest.approx(v_s, rel=0.02)
+        assert meas.jump.v_s == pytest.approx(jump.v_s, rel=0.02)
         assert meas.residual.max_abs() < 0.05

@@ -11,7 +11,7 @@ from shockaudit.lagrangian_maps import (
     calibrated_flow_map,
     lambda_jump_defect,
 )
-from shockaudit.rh import hugoniot_solve_barotropic
+from shockaudit.rh import hugoniot_solve
 from shockaudit.shock1d import (
     Domain1D,
     PiecewiseShockSolution,
@@ -29,13 +29,13 @@ def random_admissible_solution(rng, motion="fixed"):
     left = FluidState(rng.uniform(0.5, 2.0), rng.uniform(-1.5, 1.5))
     ratio = rng.uniform(1.1, 2.2) if rng.random() < 0.5 else rng.uniform(0.45, 0.9)
     rho_r = left.rho * ratio
-    u_r, v_s = hugoniot_solve_barotropic(left, rho_r, model)
-    span = 4.0 + 2.0 * abs(v_s)
+    jump = hugoniot_solve(left, rho_r, model)
+    span = 4.0 + 2.0 * abs(jump.v_s)
     return PiecewiseShockSolution(
         model=model,
-        states=(left, FluidState(rho_r, u_r)),
+        states=(left, jump.right),
         shock_positions_t0=(0.0,),
-        shock_speeds=(v_s,),
+        shock_speeds=(jump.v_s,),
         domain=Domain1D(-span, span, motion),
     )
 

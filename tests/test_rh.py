@@ -12,11 +12,12 @@ from shockaudit.errors import (
     NoShockError,
 )
 from shockaudit.rh import (
+    RESIDUAL_TOL,
     RhResidual,
     ShockJump,
     entropy_admissible,
-    hugoniot_solve_barotropic,
-    hugoniot_solve_full,
+    gated_residual,
+    hugoniot_solve,
     interface_energy_rate,
     rh_residuals,
     shock_speed_from_mass,
@@ -152,39 +153,36 @@ class TestShockSpeedFromMass:
 
 class TestBarotropicSolver:
     def test_reference_completion(self):
-        u_r, v_s = hugoniot_solve_barotropic(LEFT, 2.0, GAMMA2)
-        assert u_r == pytest.approx(1.0, abs=1e-12)
-        assert v_s == pytest.approx(0.0, abs=1e-12)
+        jump = hugoniot_solve(LEFT, 2.0, GAMMA2)
+        assert jump.left == LEFT and jump.n == 1.0
+        assert jump.right.rho == 2.0
+        assert jump.right.u == pytest.approx(1.0, abs=1e-12)
+        assert jump.v_s == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_density_rejected(self):
         with pytest.raises(DegenerateJumpError):
-            hugoniot_solve_barotropic(LEFT, 1.0, GAMMA2)
+            hugoniot_solve(LEFT, 1.0, GAMMA2)
 
     def test_against_frozen_oracle_values(self):
         model = GasModel.barotropic(K=1.0, gamma=1.4)
-        u_r, v_s = hugoniot_solve_barotropic(FluidState(1.0, 0.0), 2.0, model)
-        assert u_r == pytest.approx(BARO_CASE_U_R, abs=1e-12)
-        assert v_s == pytest.approx(BARO_CASE_V_S, abs=1e-12)
+        jump = hugoniot_solve(FluidState(1.0, 0.0), 2.0, model)
+        assert jump.right.u == pytest.approx(BARO_CASE_U_R, abs=1e-12)
+        assert jump.v_s == pytest.approx(BARO_CASE_V_S, abs=1e-12)
 
     def test_against_live_grid_scan(self):
         model = GasModel.barotropic(K=1.0, gamma=1.4)
-        got = hugoniot_solve_barotropic(FluidState(1.0, 0.0), 2.0, model)
+        got = hugoniot_solve(FluidState(1.0, 0.0), 2.0, model)
         roots = oracles.scan_barotropic(1.0, 1.4, 1.0, 0.0, 2.0)
-        assert any(abs(got[0] - u) < 1e-6 and abs(got[1] - v) < 1e-6 for u, v in roots)
+        assert any(abs(got.right.u - u) < 1e-6 and abs(got.v_s - v) < 1e-6 for u, v in roots)
 
     def test_both_branches_solve_the_system(self):
         for branch in ("admissible", "inadmissible"):
-            u_r, v_s = hugoniot_solve_barotropic(LEFT, 2.0, GAMMA2, branch=branch)
-            jump = ShockJump(left=LEFT, right=FluidState(2.0, u_r), n=1.0, v_s=v_s)
+            jump = hugoniot_solve(LEFT, 2.0, GAMMA2, branch=branch)
             assert rh_residuals(jump, GAMMA2).conserved_max_abs() < 1e-10
 
     def test_branch_admissibility_split(self):
-        u_a, v_a = hugoniot_solve_barotropic(LEFT, 2.0, GAMMA2, branch="admissible")
-        u_i, v_i = hugoniot_solve_barotropic(LEFT, 2.0, GAMMA2, branch="inadmissible")
-        j_a = ShockJump(left=LEFT, right=FluidState(2.0, u_a), n=1.0, v_s=v_a)
-        j_i = ShockJump(left=LEFT, right=FluidState(2.0, u_i), n=1.0, v_s=v_i)
-        assert entropy_admissible(j_a, GAMMA2)
-        assert not entropy_admissible(j_i, GAMMA2)
+        assert entropy_admissible(hugoniot_solve(LEFT, 2.0, GAMMA2, branch="admissible"), GAMMA2)
+        assert not entropy_admissible(hugoniot_solve(LEFT, 2.0, GAMMA2, branch="inadmissible"), GAMMA2)
 
     def test_oracle_equivalence_on_random_instances(self):
         rng = np.random.default_rng(17)
@@ -195,10 +193,10 @@ class TestBarotropicSolver:
             left = FluidState(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0))
             ratio = rng.uniform(1.05, 3.0) if rng.random() < 0.5 else rng.uniform(0.35, 0.95)
             rho_r = left.rho * ratio
-            got = hugoniot_solve_barotropic(left, rho_r, model)
+            got = hugoniot_solve(left, rho_r, model)
             roots = oracles.scan_barotropic(K, gamma, left.rho, left.u, rho_r)
             assert len(roots) == 2
-            assert any(abs(got[0] - u) < 1e-6 and abs(got[1] - v) < 1e-6 for u, v in roots)
+            assert any(abs(got.right.u - u) < 1e-6 and abs(got.v_s - v) < 1e-6 for u, v in roots)
 
     def test_solver_residual_closure(self):
         rng = np.random.default_rng(19)
@@ -207,8 +205,7 @@ class TestBarotropicSolver:
             left = FluidState(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0))
             rho_r = left.rho * rng.uniform(1.05, 3.0)
             for branch in ("admissible", "inadmissible"):
-                u_r, v_s = hugoniot_solve_barotropic(left, rho_r, model, branch=branch)
-                jump = ShockJump(left=left, right=FluidState(rho_r, u_r), n=1.0, v_s=v_s)
+                jump = hugoniot_solve(left, rho_r, model, branch=branch)
                 assert rh_residuals(jump, model).conserved_max_abs() < 1e-10
 
 
@@ -232,33 +229,31 @@ class TestFullSolver:
 
     def test_weak_shock_limit(self):
         left = self.left_state()
-        u_r, s_r, _ = hugoniot_solve_full(left, 1.0 + 1e-4, IDEAL)
-        assert abs(u_r - left.u) < 1e-3
-        assert abs(s_r / (1.0 + 1e-4) - specific_entropy(left)) < 1e-3
+        right = hugoniot_solve(left, 1.0 + 1e-4, IDEAL).right
+        assert abs(right.u - left.u) < 1e-3
+        assert abs(specific_entropy(right) - specific_entropy(left)) < 1e-3
 
     def test_against_frozen_oracle_values(self):
-        u_r, s_r, v_s = hugoniot_solve_full(self.left_state(), 2.0, IDEAL)
-        assert u_r == pytest.approx(FULL_CASE_U_R, abs=1e-12)
-        assert s_r == pytest.approx(FULL_CASE_S_R, abs=1e-12)
-        assert v_s == pytest.approx(FULL_CASE_V_S, abs=1e-12)
+        jump = hugoniot_solve(self.left_state(), 2.0, IDEAL)
+        assert jump.right.u == pytest.approx(FULL_CASE_U_R, abs=1e-12)
+        assert jump.right.s == pytest.approx(FULL_CASE_S_R, abs=1e-12)
+        assert jump.v_s == pytest.approx(FULL_CASE_V_S, abs=1e-12)
 
     def test_against_live_grid_scan(self):
         left = self.left_state()
-        got = hugoniot_solve_full(left, 2.0, IDEAL)
+        jump = hugoniot_solve(left, 2.0, IDEAL)
         roots = oracles.scan_full(1.4, 1.0, 1.0, 1.0, 0.0, left.s, 2.0)
         assert any(
-            abs(got[0] - u) < 1e-6 and abs(got[1] - s) < 1e-6 and abs(got[2] - v) < 1e-6
+            abs(jump.right.u - u) < 1e-6 and abs(jump.right.s - s) < 1e-6 and abs(jump.v_s - v) < 1e-6
             for u, s, v in roots
         )
-        jump = ShockJump(left=left, right=FluidState(2.0, got[0], got[1]), n=1.0, v_s=got[2])
         assert rh_residuals(jump, IDEAL).max_abs() < 1e-10
 
     def test_admissible_branch_raises_entropy(self):
         left = self.left_state()
-        u_r, s_r, v_s = hugoniot_solve_full(left, 2.0, IDEAL)
-        right = FluidState(2.0, u_r, s_r)
-        jump = ShockJump(left=left, right=right, n=1.0, v_s=v_s)
-        flux = left.rho * (left.u - v_s)
+        jump = hugoniot_solve(left, 2.0, IDEAL)
+        right = jump.right
+        flux = left.rho * (left.u - jump.v_s)
         upstream, downstream = (left, right) if flux > 0 else (right, left)
         assert specific_entropy(downstream) >= specific_entropy(upstream)
         assert entropy_admissible(jump, IDEAL)
@@ -267,7 +262,7 @@ class TestFullSolver:
         left = self.left_state()
         limit = (IDEAL.gamma + 1.0) / (IDEAL.gamma - 1.0)
         with pytest.raises(NoShockError):
-            hugoniot_solve_full(left, left.rho * (limit + 0.5), IDEAL)
+            hugoniot_solve(left, left.rho * (limit + 0.5), IDEAL)
 
     def test_energy_conservation_on_random_instances(self):
         rng = np.random.default_rng(23)
@@ -278,53 +273,56 @@ class TestFullSolver:
             left = FluidState(rho_l, rng.uniform(-1.5, 1.5), rho_l * rng.uniform(-0.4, 0.4))
             limit = (gamma + 1.0) / (gamma - 1.0)
             rho_r = rho_l * rng.uniform(1.1, min(2.8, 0.85 * limit))
-            u_r, s_r, v_s = hugoniot_solve_full(left, rho_r, model)
-            right = FluidState(rho_r, u_r, s_r)
-            jump = ShockJump(left=left, right=right, n=1.0, v_s=v_s)
+            jump = hugoniot_solve(left, rho_r, model)
+            right = jump.right
             res = rh_residuals(jump, model)
             assert abs(res.energy) < 1e-10
-            flux = left.rho * (left.u - v_s)
+            flux = left.rho * (left.u - jump.v_s)
             upstream, downstream = (left, right) if flux > 0 else (right, left)
             assert specific_entropy(downstream) >= specific_entropy(upstream) - 1e-12
 
 
-SOLVERS = {
-    "barotropic": (hugoniot_solve_barotropic, GAMMA2, LEFT, IDEAL),
-    "full": (hugoniot_solve_full, IDEAL, FluidState(1.0, 0.0, math.log(1.0 / 0.4)), GAMMA2),
+SOLVER_CASES = {
+    "barotropic": (GAMMA2, LEFT),
+    "full": (IDEAL, FluidState(1.0, 0.0, math.log(1.0 / 0.4))),
 }
 
 
-@pytest.mark.parametrize("solver, model, left, other_model", SOLVERS.values(), ids=list(SOLVERS))
+@pytest.mark.parametrize("model, left", SOLVER_CASES.values(), ids=list(SOLVER_CASES))
 class TestSolverGuards:
-    """Both public wrappers of the shared mass-flux root keep every guard."""
-
-    def test_wrong_model_kind(self, solver, model, left, other_model):
-        other_left = FluidState(1.0, 0.0, None if other_model is GAMMA2 else 0.0)
-        with pytest.raises(InvalidStateError):
-            solver(other_left, 2.0, other_model)
+    """hugoniot_solve keeps every guard for both gas models."""
 
     @pytest.mark.parametrize("rho_right", [0.0, -1.0, math.nan])
-    def test_nonpositive_rho_right(self, solver, model, left, other_model, rho_right):
+    def test_nonpositive_rho_right(self, model, left, rho_right):
         with pytest.raises(InvalidStateError):
-            solver(left, rho_right, model)
+            hugoniot_solve(left, rho_right, model)
 
-    def test_unknown_branch(self, solver, model, left, other_model):
+    def test_unknown_branch(self, model, left):
         with pytest.raises(InvalidStateError):
-            solver(left, 2.0 * left.rho, model, branch="physical")
+            hugoniot_solve(left, 2.0 * left.rho, model, branch="physical")
 
-    def test_degenerate_density(self, solver, model, left, other_model):
+    def test_degenerate_density(self, model, left):
         with pytest.raises(DegenerateJumpError):
-            solver(left, left.rho, model)
+            hugoniot_solve(left, left.rho, model)
 
-    def test_state_must_match_model(self, solver, model, left, other_model):
+    def test_state_must_match_model(self, model, left):
         mismatched = FluidState(left.rho, left.u, None if left.s is not None else 0.0)
         with pytest.raises(InvalidStateError):
-            solver(mismatched, 2.0 * left.rho, model)
+            hugoniot_solve(mismatched, 2.0 * left.rho, model)
 
-    def test_branches_are_distinct_roots(self, solver, model, left, other_model):
-        adm = solver(left, 2.0 * left.rho, model, branch="admissible")
-        inadm = solver(left, 2.0 * left.rho, model, branch="inadmissible")
-        assert adm[0] != inadm[0] and adm[-1] != inadm[-1]
+    def test_branches_are_distinct_roots(self, model, left):
+        adm = hugoniot_solve(left, 2.0 * left.rho, model, branch="admissible")
+        inadm = hugoniot_solve(left, 2.0 * left.rho, model, branch="inadmissible")
+        assert adm.right.u != inadm.right.u and adm.v_s != inadm.v_s
+
+    @pytest.mark.parametrize("branch", ["admissible", "inadmissible"])
+    def test_returns_a_jump_that_passes_the_gate(self, model, left, branch):
+        # The right state carries s exactly when the model does, and the
+        # returned jump satisfies the laws the model is gated on.
+        jump = hugoniot_solve(left, 2.0 * left.rho, model, branch=branch)
+        assert isinstance(jump, ShockJump)
+        assert (jump.right.s is not None) == model.carries_entropy
+        assert gated_residual(rh_residuals(jump, model), model) <= RESIDUAL_TOL
 
 
 @pytest.mark.parametrize("ratio", [6.5, 100.0, 6.0, 1.0 / 6.0])
@@ -334,7 +332,7 @@ def test_full_solver_no_shock_ratio(ratio):
     # and return a spurious shock with u_right of about -1.2e8).
     left = FluidState(1.0, 0.0, 0.0)
     with pytest.raises(NoShockError):
-        hugoniot_solve_full(left, ratio, IDEAL)
+        hugoniot_solve(left, ratio, IDEAL)
 
 
 @pytest.mark.parametrize("gamma", [1.1, 1.2, 1.4, 5.0 / 3.0, 3.0])
@@ -348,7 +346,7 @@ def test_full_solver_rejects_roundoff_neighbours_of_limiting_ratio(gamma, rho_l)
     for base in (rho_l * limit, rho_l / limit):
         for k in range(-8, 9):
             with pytest.raises(NoShockError):
-                hugoniot_solve_full(left, base * (1.0 + k * 2.2e-16), model)
+                hugoniot_solve(left, base * (1.0 + k * 2.2e-16), model)
 
 
 class TestAdmissibility:
