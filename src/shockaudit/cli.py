@@ -8,8 +8,8 @@ checked once by config.validate_config.
 
 Exit status: 0 all configured audits passed, 1 an audit failed, 2 the
 configuration or the command line could not be parsed, 3 it failed
-validation, 4 a numerical procedure failed.  Set SHOCKAUDIT_LOG
-(debug/info/warning) to control log verbosity.
+validation (an unusable output.dir included), 4 a numerical procedure
+failed.  Set SHOCKAUDIT_LOG (debug/info/warning) to control log verbosity.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     InvalidStateError,
     ShockAuditError,
 )
-from .fv_solver import Grid1D, ShockTrack, Snapshots, entropy_density_cells, field_from_solution
+from .fv_solver import Grid1D, ShockTrack, Snapshots, cell_primitives, field_from_solution
 from .fv_solver import measure_shock, simulate
 from .lagrangian_maps import augmented_energy_rate, calibrated_flow_map
 from .rh import gated_residual, hugoniot_solve, rh_residuals
@@ -303,14 +303,11 @@ def _run_fv(cfg: RunConfig):
     }
 
     header = ("t", "x", "rho", "u", "s") if model.carries_entropy else ("t", "x", "rho", "u")
-    blocks = []
     centers = grid.centers()
-    for t, snap in snaps.taken:
-        rho = snap.data[0]
-        block = [np.full(grid.n_cells, float(t)), centers, rho, snap.data[1] / rho]
-        if model.carries_entropy:
-            block.append(entropy_density_cells(model, snap.data))
-        blocks.append(block)
+    blocks = [
+        [np.full(grid.n_cells, float(t)), centers, *cell_primitives(model, snap.data)]
+        for t, snap in snaps.taken
+    ]
     # One float64 array per header name, snapshots one after another; with
     # no snapshots there are no columns and the CSV is the header alone.
     columns = [np.concatenate(parts) for parts in zip(*blocks)]
@@ -365,17 +362,21 @@ _TASKS = {
 
 
 def _emit(cfg: RunConfig, summary, header, columns):
+    """Write the artifacts, then stdout; an unusable output.dir is a ConfigError."""
     out_dir = cfg.output["dir"]
-    os.makedirs(out_dir, exist_ok=True)
     stem = cfg.task_name.replace("-", "_")
     log.info("writing %s artifacts to %s", cfg.task_name, out_dir)
     text = dumps_deterministic(summary) + "\n"
-    if "json" in cfg.output["formats"]:
-        with open(os.path.join(out_dir, f"{stem}.json"), "w", encoding="utf-8") as fh:
-            fh.write(text)
-    if "csv" in cfg.output["formats"]:
-        with open(os.path.join(out_dir, f"{stem}.csv"), "w", encoding="utf-8") as fh:
-            fh.write(_csv_text(header, columns))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        if "json" in cfg.output["formats"]:
+            with open(os.path.join(out_dir, f"{stem}.json"), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        if "csv" in cfg.output["formats"]:
+            with open(os.path.join(out_dir, f"{stem}.csv"), "w", encoding="utf-8") as fh:
+                fh.write(_csv_text(header, columns))
+    except OSError as exc:
+        raise ConfigError(f"output.dir {out_dir!r} is not usable: {exc}") from None
     sys.stdout.write(text)
 
 

@@ -21,7 +21,7 @@ from .rh import RhResidual, ShockJump, rh_residuals
 from .shock1d import PiecewiseShockSolution
 
 ISOLATION = 5.0  # locate_shock's gate on the steepest density gradient
-PLATEAU_OFFSET = 6  # cells from the steep interface to the plateau cells locate/measure_shock read
+PLATEAU_OFFSET = 6  # cells from the steep interface to the plateau cells locate_shock reads
 MAX_STEPS = 2_000_000  # simulate's step budget
 TIME_TOL = 1e-14  # simulate's time tolerance, relative to t_final
 
@@ -67,10 +67,6 @@ class ConservedField:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 2 or self.data.shape[0] not in (2, 3):
             raise InvalidStateError(f"expected (2 or 3, n_cells) data, got {self.data.shape}")
-
-    @property
-    def n_comp(self) -> int:
-        return self.data.shape[0]
 
     def totals(self, grid: Grid1D) -> np.ndarray:
         return self.data.sum(axis=1) * grid.dx
@@ -267,37 +263,34 @@ def field_from_solution(model: GasModel, grid: Grid1D, sol: PiecewiseShockSoluti
     return ConservedField(U)
 
 
-def entropy_density_cells(model: GasModel, U) -> np.ndarray:
-    """Entropy density s of each cell of a full-system block, from the EOS."""
+def cell_primitives(model: GasModel, U: np.ndarray) -> tuple:
+    """(rho, u) arrays of a conserved-variable block, and s for the full system.
+
+    s is the EOS entropy density of the internal energy the step checks
+    (_check_positivity), so a full-system block whose density or internal
+    energy is not positive raises NumericalError naming its first such cell.
+    """
     rho = U[0]
     u = U[1] / rho
-    p = pressure_from(model, rho, U[2] - 0.5 * rho * u ** 2)
-    return entropy_density_from_pressure(model, rho, p)
-
-
-def state_at_cell(model: GasModel, field: ConservedField, i: int) -> FluidState:
-    """FluidState sampled from cell i (entropy recovered from the EOS)."""
-    # Python floats, so the state is computed with scalar arithmetic.
-    cell = field.data[:, i].tolist()
-    rho = cell[0]
-    u = cell[1] / rho
-    if field.n_comp == 2:
-        return FluidState(rho, u)
-    return FluidState(rho, u, entropy_density_cells(model, cell))
+    if U.shape[0] == 2:
+        return rho, u
+    p = pressure_from(model, rho, _check_positivity(U))
+    return rho, u, entropy_density_from_pressure(model, rho, p)
 
 
 def locate_shock(
     grid: Grid1D,
     field: ConservedField,
     require_isolated: bool = True,
-) -> tuple[int, float]:
-    """(steep interface index, subcell position) of the dominant discontinuity.
+) -> tuple[int, int, float]:
+    """(left plateau cell, right plateau cell, subcell position) of the dominant discontinuity.
 
     With require_isolated the steepest density gradient must exceed every
     gradient outside its 3-cell neighborhood by the ISOLATION factor
-    (trajectory tracking during start-up transients disables the gate); the
-    subcell position is where the plateau densities, PLATEAU_OFFSET cells to
-    either side, reproduce the window's conserved mass.
+    (trajectory tracking during start-up transients disables the gate).  The
+    plateau cells lie PLATEAU_OFFSET cells either side of the steep interface,
+    clamped to the grid; the subcell position is where their densities
+    reproduce the conserved mass between them.
     """
     rho = field.data[0]
     g = np.abs(np.diff(rho))
@@ -321,7 +314,7 @@ def locate_shock(
     width = (hi_cell - lo_cell + 1) * grid.dx
     mass = float(np.sum(rho[lo_cell: hi_cell + 1])) * grid.dx
     x_s = x_lo + (mass - rho_r * width) / (rho_l - rho_r)
-    return i_star, float(x_s)
+    return lo_cell, hi_cell, float(x_s)
 
 
 @dataclass
@@ -337,13 +330,11 @@ def measure_shock(model: GasModel, grid: Grid1D, field: ConservedField, trajecto
     trajectory is a sequence of (t, position) pairs; the speed is its
     least-squares slope.  With fewer than two the shock is assumed stationary.
     """
-    i_star, x_s = locate_shock(grid, field)
-    i_l = i_star - PLATEAU_OFFSET
-    i_r = i_star + 1 + PLATEAU_OFFSET
-    if i_l < 0 or i_r >= grid.n_cells:
+    i_l, i_r, x_s = locate_shock(grid, field)
+    if i_r - i_l < 2 * PLATEAU_OFFSET + 1:  # a plateau clamped to the grid
         raise NumericalError("discontinuity too close to the boundary to sample plateaus")
-    left = state_at_cell(model, field, i_l)
-    right = state_at_cell(model, field, i_r)
+    cells = np.array(cell_primitives(model, field.data[:, [i_l, i_r]])).T.tolist()
+    left, right = (FluidState(*cell) for cell in cells)
     v_s = 0.0
     if len(trajectory) >= 2:
         ts, xs = np.asarray(trajectory).T
@@ -361,7 +352,7 @@ class ShockTrack:
 
     def __call__(self, n, t, dt, field, last):
         if n % 20 == 0 or last:
-            self.points.append((t, locate_shock(self.grid, field, require_isolated=False)[1]))
+            self.points.append((t, locate_shock(self.grid, field, require_isolated=False)[-1]))
 
 
 class Snapshots:
@@ -416,7 +407,7 @@ def simulate(
     """
     fld = field0
     totals0 = fld.totals(grid)
-    boundary_budget = np.zeros(fld.n_comp)
+    boundary_budget = np.zeros_like(totals0)
     stops = [obs for obs in observers if hasattr(obs, "times")]
     t = 0.0
     n = 0

@@ -22,7 +22,7 @@ from shockaudit.config import (
 )
 from shockaudit.eos import FluidState, GasModel
 from shockaudit.errors import ConfigError
-from shockaudit.fv_solver import Grid1D, ShockTrack, Snapshots, entropy_density_cells, field_from_solution, simulate
+from shockaudit.fv_solver import Grid1D, ShockTrack, Snapshots, cell_primitives, field_from_solution, simulate
 from shockaudit.rh import ShockJump, hugoniot_solve
 from shockaudit.shock1d import stationary_shock_example
 from shockaudit.weakcheck import SpacetimeQuadrature, standard_battery, weak_residuals
@@ -540,6 +540,21 @@ class TestOutputBlock:
         assert "output" in record["message"]
         assert sorted(os.listdir(tmp_path)) == ["run.json"]
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
+    def test_regular_file_as_output_dir_is_validation_error(self, tmp_path, capsys, sub):
+        # Unlike a read-only directory, a regular file cannot be written into
+        # by any user, root included.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out_dir = os.path.join(blocker, sub) if sub else str(blocker)
+        status = main(["shock-example", "--gamma", "2", "--out-dir", out_dir])
+        captured = capsys.readouterr()
+        record = json.loads(captured.err)["error"]
+        assert (status, record["status"], record["kind"]) == (3, 3, "validation")
+        assert record["message"].startswith(f"output.dir {out_dir!r}")
+        assert captured.out == ""
+        assert blocker.read_text() == "kept\n"
+
     def test_format_subset_written(self, tmp_path):
         doc = {"task": {"name": "shock-example", "gamma": 2.0},
                "output": {"dir": str(tmp_path / "out"), "formats": ["csv"]}}
@@ -765,10 +780,7 @@ def _fv_rows(cfg):
     )
     rows = []
     for t, snap in snapshots.taken:
-        rho = snap.data[0]
-        columns = [grid.centers(), rho, snap.data[1] / rho]
-        if model.carries_entropy:
-            columns.append(entropy_density_cells(model, snap.data))
+        columns = [grid.centers(), *cell_primitives(model, snap.data)]
         rows += [(float(t), *cell) for cell in zip(*(col.tolist() for col in columns))]
     return rows
 

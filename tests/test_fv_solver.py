@@ -13,12 +13,11 @@ from shockaudit.fv_solver import (
     Grid1D,
     ShockTrack,
     Snapshots,
-    entropy_density_cells,
+    cell_primitives,
     field_from_solution,
     locate_shock,
     measure_shock,
     simulate,
-    state_at_cell,
     step,
 )
 from shockaudit.rh import entropy_admissible, hugoniot_solve
@@ -88,7 +87,7 @@ class TestStep:
         sol = stationary_shock_example(2.0)
         grid = Grid1D(-1.0, 1.0, 200)
         result = simulate(sol.model, grid, field_from_solution(sol.model, grid, sol), 0.5)
-        _, position = locate_shock(grid, result.field)
+        _, _, position = locate_shock(grid, result.field)
         assert abs(position) < 2.0 * grid.dx
 
 
@@ -160,15 +159,46 @@ class TestKernelAgreement:
             assert F[0, -2] == 2.0
             assert F[1, -2] == pytest.approx(4.0 + 2.0 / 3.0, abs=1e-14)
 
-    def test_entropy_cells_match_state_at_cell(self):
-        U, states = random_block(IDEAL, 40, seed=6)
-        fld = ConservedField(U)
-        s = entropy_density_cells(IDEAL, U)
+    @pytest.mark.parametrize("model", [GAMMA2, IDEAL], ids=["barotropic", "ideal"])
+    def test_decoded_cells_match_states(self, model):
+        U, states = random_block(model, 40, seed=6)
+        decoded = cell_primitives(model, U)
+        assert len(decoded) == U.shape[0]
         for i, state in enumerate(states):
-            # The array path uses numpy's pow/log, the cell path libm's: equal
-            # to roundoff, not necessarily bit for bit.
-            assert s[i] == pytest.approx(state_at_cell(IDEAL, fld, i).s, rel=1e-14, abs=1e-14)
-            assert s[i] == pytest.approx(state.s, abs=1e-12)
+            assert decoded[0][i] == state.rho
+            assert decoded[1][i] == pytest.approx(state.u, rel=1e-15, abs=1e-15)
+            if model.carries_entropy:
+                assert decoded[2][i] == pytest.approx(state.s, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("rho_right", [2.0, 2.5, 3.5])
+    def test_measured_states_are_the_decoded_plateau_cells(self, rho_right, n):
+        # measure_shock reads its two plateau cells through the decoder, so
+        # the jump's states carry the decoded values bit for bit.
+        left = FluidState(1.0, 0.0, math.log(1.0 / 0.4))
+        jump = hugoniot_solve(left, rho_right, IDEAL)
+        grid = Grid1D(-1.6, 0.4, n)
+        sol = PiecewiseShockSolution(
+            model=IDEAL,
+            states=(left, jump.right),
+            shock_positions_t0=(0.0,),
+            shock_speeds=(jump.v_s,),
+            domain=Domain1D(grid.x_min, grid.x_max),
+        )
+        result = simulate(IDEAL, grid, field_from_solution(IDEAL, grid, sol), 0.3)
+        meas = measure_shock(IDEAL, grid, result.field)
+        i_l, i_r, _ = locate_shock(grid, result.field)
+        rho, u, s = cell_primitives(IDEAL, result.field.data)
+        for i, state in ((i_l, meas.jump.left), (i_r, meas.jump.right)):
+            assert (state.rho, state.u, state.s) == (rho[i], u[i], s[i])
+            assert all(type(v) is float for v in (state.rho, state.u, state.s))
+
+    def test_decoder_names_the_first_cell_without_internal_energy(self):
+        U = _uniform_block(IDEAL, 8)
+        U[2, 5] = 0.5 * U[1, 5] ** 2 / U[0, 5]
+        U[2, 6] = -1.0
+        with pytest.raises(NumericalError, match="nonpositive internal energy in cell 5"):
+            cell_primitives(IDEAL, U)
 
     @pytest.mark.parametrize("bc", ["outflow", "periodic"])
     @pytest.mark.parametrize("model", [GAMMA2, IDEAL], ids=["barotropic", "ideal"])
@@ -471,7 +501,7 @@ class TestObservers:
         expected = [t for n, t, _, _, _ in rec.calls if n % 20 == 0] + [result.t]
         assert [t for t, _ in track.points] == expected
         for (t, x), call in zip(track.points, [c for c in rec.calls if c[1] in expected]):
-            assert x == locate_shock(grid, call[3], require_isolated=False)[1]
+            assert x == locate_shock(grid, call[3], require_isolated=False)[-1]
 
     def test_shock_track_ends_once_on_a_multiple_of_twenty(self):
         grid = Grid1D(-1.0, 1.0, 64)
@@ -549,9 +579,9 @@ class TestFieldFromSolution:
         )
         grid = Grid1D(-2.0, 1.0, 30)
         fld = field_from_solution(model, grid, sol)
-        assert fld.n_comp == 3
-        back = state_at_cell(model, fld, 2)
-        assert back.s == pytest.approx(s0, rel=1e-12)
+        assert fld.data.shape[0] == 3
+        _, _, s = cell_primitives(model, fld.data)
+        assert s[2] == pytest.approx(s0, rel=1e-12)
 
 
 class TestMeasureShock:
@@ -560,6 +590,30 @@ class TestMeasureShock:
         U = np.tile(np.array([[1.0], [0.5]]), (1, 32))
         with pytest.raises(NumericalError):
             locate_shock(grid, ConservedField(U))
+
+    @pytest.mark.parametrize(
+        "x_min, x_max, clamped",
+        [
+            (-0.05, 1.0, True),  # steep interface 4: left plateau cell -2
+            (-1.0, 0.05, True),  # steep interface 94: right plateau cell 101
+            (-0.06, 0.94, True),  # left plateau cell -1
+            (-0.94, 0.06, True),  # right plateau cell 100
+            (-0.07, 0.93, False),  # left plateau cell 0
+            (-0.93, 0.07, False),  # right plateau cell 99
+        ],
+    )
+    def test_plateau_cells_inside_the_grid(self, x_min, x_max, clamped):
+        # The reference shock at x = 0, a few cells from one end of 100.
+        grid = Grid1D(x_min, x_max, 100)
+        fld = ConservedField(_plateau_block(REF.model, grid, REF.states, (0.0,)))
+        # Clamped plateaus still place the shock, as ShockTrack needs.
+        assert locate_shock(grid, fld, require_isolated=False)[-1] == pytest.approx(0.0, abs=1e-12)
+        if clamped:
+            with pytest.raises(NumericalError, match="too close to the boundary"):
+                measure_shock(REF.model, grid, fld)
+        else:
+            meas = measure_shock(REF.model, grid, fld)
+            assert (meas.jump.left, meas.jump.right) == REF.states
 
     def test_residuals_decrease_under_refinement(self):
         sol = stationary_shock_example(2.0)
