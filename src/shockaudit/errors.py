@@ -26,7 +26,19 @@ class NoShockError(ShockAuditError):
 
 
 class NumericalError(ShockAuditError):
-    """A numerical procedure failed (vacuum cell, lost discontinuity, bad gradient)."""
+    """A numerical procedure failed (vacuum cell, lost discontinuity, bad gradient).
+
+    Where the failure has a location it is kept apart from the message: cell
+    is the first bad cell of the field, step the simulate step that raised
+    (1 for the first) and t the time that step started from; each is None
+    where it does not apply.
+    """
+
+    def __init__(self, message, *, cell=None, step=None, t=None):
+        super().__init__(message)
+        self.cell = cell
+        self.step = step
+        self.t = t
 
 
 class DomainError(ShockAuditError):

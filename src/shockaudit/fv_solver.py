@@ -87,7 +87,7 @@ def _require_positive(values, nonpositive: str, quantity: str) -> None:
     flat = np.ravel(values)
     i = int(np.flatnonzero(~(flat > 0.0))[0])
     problem = nonpositive if math.isfinite(flat[i]) else f"non-finite {quantity}"
-    raise NumericalError(f"{problem} in cell {i}")
+    raise NumericalError(f"{problem} in cell {i}", cell=i)
 
 
 def _check_positivity(U: np.ndarray):
@@ -158,8 +158,8 @@ def _cell_block(model: GasModel, U: np.ndarray) -> tuple[np.ndarray, float, floa
     slowest = float(inner[2 * k].min())
     fastest = float(inner[2 * k + 1].max())
     if not (math.isfinite(slowest) and math.isfinite(fastest) and math.isfinite(U[0].max())):
-        bad = ~np.isfinite(inner).all(axis=0)
-        raise NumericalError(f"non-finite state in cell {int(np.flatnonzero(bad)[0])}")
+        i = int(np.flatnonzero(~np.isfinite(inner).all(axis=0))[0])
+        raise NumericalError(f"non-finite state in cell {i}", cell=i)
     return cells, slowest, fastest
 
 
@@ -399,7 +399,9 @@ def simulate(
     observer may keep field (step never modifies its input); the step's
     interface fluxes are field.boundary_flux.  A step ends exactly at
     observer.times[0] when that lies ahead.  Times within TIME_TOL t_final
-    of each other count as equal, however small t_final is.
+    of each other count as equal, however small t_final is.  A
+    NumericalError raised by a step leaves with its step number and start
+    time set (NumericalError.step, .t).
 
     The drift per component is |total(t) - total(0) + accumulated boundary
     flux|, normalized by max(|total(0)|, 1); it stays at roundoff for any
@@ -419,7 +421,11 @@ def simulate(
         for obs in stops:
             if obs.times and obs.times[0] > t + tol:
                 dt_cap = min(dt_cap, obs.times[0] - t)
-        fld, dt = step(model, grid, fld, cfl=cfl, bc=bc, dt_max=dt_cap)
+        try:
+            fld, dt = step(model, grid, fld, cfl=cfl, bc=bc, dt_max=dt_cap)
+        except NumericalError as exc:
+            exc.step, exc.t = n + 1, t
+            raise
         f_in, f_out = fld.boundary_flux
         boundary_budget += dt * (f_out - f_in)
         t += dt

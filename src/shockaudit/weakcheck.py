@@ -37,21 +37,13 @@ def _mollifier(xi):
     return np.where(inside, e, 0.0), np.where(inside, e_prime, 0.0)
 
 
-@functools.cache
-def _gauss_legendre(order):
-    """Read-only Gauss-Legendre (nodes, weights) on [-1, 1], built once per order."""
-    rule = np.polynomial.legendre.leggauss(order)
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
-
-
 @dataclass(frozen=True)
 class BumpTestFunction:
     """Tensorized compactly supported bump centered at (t0, x0) with radii (rt, rx).
 
-    The profile peaks at 1 in the center and vanishes with all derivatives on
-    the boundary of the centered box.
+    h(t, x) = m((t - t0) / rt) m((x - x0) / rx) with the mollifier m of
+    _mollifier: the profile peaks at 1 in the center and vanishes with all
+    derivatives on the boundary of the centered box.
     """
 
     t0: float
@@ -66,17 +58,6 @@ class BumpTestFunction:
     def support(self) -> tuple[float, float, float, float]:
         """(t_lo, t_hi, x_lo, x_hi) bounding box of the support."""
         return (self.t0 - self.rt, self.t0 + self.rt, self.x0 - self.rx, self.x0 + self.rx)
-
-    def value(self, t, x):
-        m_t, _ = _mollifier((np.asarray(t) - self.t0) / self.rt)
-        m_x, _ = _mollifier((np.asarray(x) - self.x0) / self.rx)
-        return m_t * m_x
-
-    def grad(self, t, x):
-        """(dh/dt, dh/dx) at broadcastable t and x, one mollifier pass per axis."""
-        m_t, m_t_prime = _mollifier((np.asarray(t) - self.t0) / self.rt)
-        m_x, m_x_prime = _mollifier((np.asarray(x) - self.x0) / self.rx)
-        return m_t_prime / self.rt * m_x, m_t * m_x_prime / self.rx
 
 
 @dataclass(frozen=True)
@@ -99,29 +80,29 @@ class SpacetimeQuadrature:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise InvalidStateError(f"quadrature {name} must be a positive integer, got {value!r}")
 
-    def nodes(self):
-        """Gauss-Legendre (nodes, weights) on [-1, 1], shared by every rule of this order."""
-        return _gauss_legendre(int(self.order))
+    def rule(self):
+        """Graded composite (nodes, weights) on [0, 1], shared by every rule of this order and panel count."""
+        return _graded_rule(int(self.order), int(self.panels))
 
 
-def _panel_nodes(lo, hi, panels, base_nodes, base_weights):
-    """Composite Gauss nodes/weights on [lo, hi] with cosine-graded panels.
+@functools.cache
+def _graded_rule(order, panels):
+    """Read-only composite Gauss (nodes, weights) on [0, 1] with cosine-graded panels.
 
-    lo and hi are scalars or same-shape arrays of interval ends; the nodes
-    and weights get one trailing axis of panels * order points per interval.
-    Panel edges cluster at both interval ends, where the mollifier profiles
-    are flat but only root-exponentially so; grading restores fast
-    convergence there at no cost in the interior.
+    Built once per (order, panels).  The rule on [lo, hi] has the nodes
+    lo + (hi - lo) * nodes and the weights (hi - lo) * weights.  Panel edges
+    cluster at both interval ends, where the mollifier profiles are flat but
+    only root-exponentially so; grading restores fast convergence there at
+    no cost in the interior.
     """
-    lo = np.asarray(lo, dtype=float)[..., None]
-    hi = np.asarray(hi, dtype=float)[..., None]
-    edges = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * np.arange(panels + 1) / panels))
-    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
-    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
-    shape = half.shape[:-1] + (-1,)
-    xs = (mid[..., None] + half[..., None] * base_nodes).reshape(shape)
-    ws = (half[..., None] * base_weights).reshape(shape)
-    return xs, ws
+    base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
+    edges = 0.5 * (1.0 - np.cos(np.pi * np.arange(panels + 1) / panels))
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    rule = ((mid[:, None] + half[:, None] * base_nodes).ravel(), (half[:, None] * base_weights).ravel())
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def _component_values(sol, components):
@@ -162,29 +143,31 @@ def _time_cuts(sol, box):
 def weak_residuals(
     sol: PiecewiseShockSolution,
     components,
-    h,
+    h: BumpTestFunction,
     quad: SpacetimeQuadrature = SpacetimeQuadrature(),
 ) -> list[float]:
-    """Spacetime residuals of the requested conservation laws against the test function h.
+    """Spacetime residuals of the requested conservation laws against the bump h.
 
-    h needs a support() box and a grad(t, x) method returning the pair
-    (dh/dt, dh/dx) (BumpTestFunction or any linear combination with the same
-    surface).  grad receives broadcastable arrays, t of shape (nt, 1) and x
-    of shape (nt, nx), and both values must broadcast to (nt, nx).  A
-    residual is zero up to quadrature error iff the candidate satisfies both
-    the bulk equation and the jump condition of its component wherever h is
-    supported.
+    A residual is zero up to quadrature error iff the candidate satisfies
+    both the bulk equation and the jump condition of its component wherever
+    h is supported.
 
-    Between consecutive time cuts the shocks inside the box are fixed, so
-    every sub-region's x-breakpoints are linear in t and each (time slab,
-    sub-region) pair is one (nt, nx) tensor evaluation of h.grad.  Only the
-    per-region constants (U, F) depend on the law, so the space integrals of
-    h_t and h_x are formed once and shared by every component.
+    The bump is the product h = m(tau) m(xi) of tau = (t - t0) / rt and
+    xi = (x - x0) / rx, so h_t = m'(tau) m(xi) / rt and
+    h_x = m(tau) m'(xi) / rx, and each integrand is summed one axis at a
+    time over the same tensor-product nodes.  Between consecutive time cuts
+    the shocks inside the box are fixed, so every sub-region's x-breakpoints
+    are linear in t: the time factors are evaluated once per slab, and the
+    space integrals A(t) of m(xi) and B(t) of m'(xi) once per sub-region.
+    A sub-region between fixed breaks (box edges, zero-speed shocks) has A
+    and B constant in t and needs one row of x-nodes; only one bounded by a
+    moving shock needs a row per time node.  Only the per-region constants
+    (U, F) depend on the law, so A and B are shared by every component.
     """
     box = h.support()
     _require_support_inside(sol, box)
     consts = _component_values(sol, components)
-    base_nodes, base_weights = quad.nodes()
+    nodes, weights = quad.rule()
     t_lo, t_hi, x_lo, x_hi = box
     x0 = np.array(sol.shock_positions_t0)
     speeds = np.array(sol.shock_speeds)
@@ -192,22 +175,27 @@ def weak_residuals(
     totals = [0.0] * len(consts)
     cuts = _time_cuts(sol, box)
     for ta, tb in zip(cuts, cuts[1:]):
-        ts, wts = _panel_nodes(ta, tb, quad.panels, base_nodes, base_weights)
+        ts = ta + (tb - ta) * nodes
+        m_t, m_t_prime = _mollifier((ts - h.t0) / h.rt)
         shock_xs = x0[:, None] + speeds[:, None] * ts
         at_mid = x0 + speeds * (0.5 * (ta + tb))
-        inside = shock_xs[(x_lo < at_mid) & (at_mid < x_hi)]
-        breaks = [np.full_like(ts, x_lo), *inside, np.full_like(ts, x_hi)]
+        # Each break is one value when fixed, one per time node when moving.
+        inside = np.flatnonzero((x_lo < at_mid) & (at_mid < x_hi))
+        shocks = [shock_xs[i] if speeds[i] else x0[i:i + 1] for i in inside]
+        breaks = [np.full(1, x_lo), *shocks, np.full(1, x_hi)]
         accs = [np.zeros_like(ts) for _ in consts]
         for lo, hi in zip(breaks, breaks[1:]):
             region = np.count_nonzero(shock_xs < 0.5 * (lo + hi), axis=0)
-            xs, wxs = _panel_nodes(lo, hi, quad.panels, base_nodes, base_weights)
-            h_t, h_x = h.grad(ts[:, None], xs)
-            a = (wxs * h_t).sum(axis=1)
-            b = (wxs * h_x).sum(axis=1)
+            length = hi - lo
+            xi = ((lo - h.x0) / h.rx)[:, None] + (length / h.rx)[:, None] * nodes
+            m_x, m_x_prime = _mollifier(xi)
+            a = m_t_prime * (length * (m_x @ weights)) / h.rt
+            b = m_t * (length * (m_x_prime @ weights)) / h.rx
             for acc, law in zip(accs, consts):
                 U, F = law[region].T
                 acc += U * a
                 acc += F * b
+        wts = (tb - ta) * weights
         for m, acc in enumerate(accs):
             totals[m] += float(np.dot(wts, acc))
     for component, total in zip(components, totals):

@@ -215,6 +215,18 @@ def mollifier_prime(xi):
     return out
 
 
+def bump_value(bump, t, x):
+    """h(t, x) = m(tau) m(xi) of a BumpTestFunction, from the reference mollifier."""
+    return mollifier((np.asarray(t) - bump.t0) / bump.rt) * mollifier((np.asarray(x) - bump.x0) / bump.rx)
+
+
+def bump_grad(bump, t, x):
+    """(dh/dt, dh/dx) = (m'(tau) / rt) m(xi) and m(tau) (m'(xi) / rx) of a BumpTestFunction."""
+    tau = (np.asarray(t) - bump.t0) / bump.rt
+    xi = (np.asarray(x) - bump.x0) / bump.rx
+    return mollifier_prime(tau) / bump.rt * mollifier(xi), mollifier(tau) * mollifier_prime(xi) / bump.rx
+
+
 def graded_gauss(a, b, order, panels):
     """Composite Gauss rule on [a, b], panels graded as (1 - cos(pi k / panels)) / 2."""
     g, w = np.polynomial.legendre.leggauss(order)
@@ -229,14 +241,15 @@ def graded_gauss(a, b, order, panels):
 
 
 def loop_weak_residual(regions, shock_x0, shock_v, h, order, panels):
-    """Integral of U h_t + F h_x over h's support box, one time node at a time.
+    """Integral of U h_t + F h_x over the bump h's support box, one time node at a time.
 
     regions[k] = (U, F) holds left of shock k and right of shock k - 1;
     shock k sits at shock_x0[k] + shock_v[k] * t.  The time axis is cut
     where a shock crosses an x-edge of the box, and at every time node the
     x-axis is cut at the shocks inside the box, so the Gauss rules only ever
-    see smooth integrands.  h.grad is called with a scalar t and a 1-d array of x.  U and F may be arrays (one entry per law), and
-    the result then has their shape.
+    see smooth integrands.  At each time node the full gradient of h is
+    evaluated on the x-nodes (bump_grad).  U and F may be arrays (one entry
+    per law), and the result then has their shape.
     """
     t_lo, t_hi, x_lo, x_hi = h.support()
     t_cuts = [t_lo, t_hi]
@@ -256,7 +269,7 @@ def loop_weak_residual(regions, shock_x0, shock_v, h, order, panels):
                 U, F = regions[sum(1 for x in positions if x < centre)]
                 xs, ws = graded_gauss(a, b, order, panels)
                 xs, ws = np.array(xs), np.array(ws)
-                h_t, h_x = h.grad(t, xs)
+                h_t, h_x = bump_grad(h, t, xs)
                 inner += U * float(np.sum(ws * h_t)) + F * float(np.sum(ws * h_x))
             total += wt * inner
     return total

@@ -74,8 +74,9 @@ class TestStep:
         grid = Grid1D(0.0, 1.0, 8)
         U = np.tile(np.array([[1.0], [0.0]]), (1, 8))
         U[0, 4] = -1.0
-        with pytest.raises(NumericalError, match="vacuum generated in cell 4"):
+        with pytest.raises(NumericalError, match="vacuum generated in cell 4") as info:
             step(GAMMA2, grid, ConservedField(U))
+        assert (info.value.cell, info.value.step, info.value.t) == (4, None, None)
 
     def test_bad_cfl_rejected(self):
         grid = Grid1D(0.0, 1.0, 8)
@@ -263,8 +264,9 @@ class TestNonFiniteCells:
         grid = Grid1D(0.0, 1.0, 8)
         U = _uniform_block(model, 8)
         U[row, 5:7] = value
-        with pytest.raises(NumericalError, match=r"^non-finite [a-z ]+ in cell 5$"):
+        with pytest.raises(NumericalError, match=r"^non-finite [a-z ]+ in cell 5$") as info:
             step(model, grid, ConservedField(U), bc=bc)
+        assert info.value.cell == 5
 
     @pytest.mark.parametrize("bc", ["outflow", "periodic"])
     def test_overflowing_update_named_at_its_cell(self, bc):
@@ -285,6 +287,51 @@ class TestNonFiniteCells:
         U[0, 2] = math.nan
         with pytest.raises(NumericalError, match="cell 2"):
             simulate(GAMMA2, grid, ConservedField(U), 0.1)
+
+
+class VacuumAfter:
+    """Observer: empties one cell of the field it is handed after step n (and records t there)."""
+
+    def __init__(self, n, cell):
+        self.n = n
+        self.cell = cell
+        self.t = None
+
+    def __call__(self, n, t, dt, field, last):
+        if n == self.n:
+            field.data[0, self.cell] = 0.0
+            self.t = t
+
+
+class TestErrorLocation:
+    """NumericalError carries its cell, and from simulate its step and start time, as attributes."""
+
+    def test_run_from_a_vacuum_fails_at_the_first_step(self):
+        grid = Grid1D(0.0, 1.0, 8)
+        U = np.tile(np.array([[1.0], [0.0]]), (1, 8))
+        U[0, 6] = -1.0
+        with pytest.raises(NumericalError) as info:
+            simulate(GAMMA2, grid, ConservedField(U), 0.1)
+        assert info.value.args == ("vacuum generated in cell 6",)
+        assert (info.value.cell, info.value.step, info.value.t) == (6, 1, 0.0)
+
+    @pytest.mark.parametrize("model", [GAMMA2, IDEAL], ids=["barotropic", "ideal"])
+    def test_vacuum_during_a_run_names_step_and_time(self, model):
+        # The field is uniform, so the step's active window is one cell until
+        # the emptied cell joins it: the cell is named on the whole grid.
+        grid = Grid1D(-1.0, 1.0, 40)
+        vacuum = VacuumAfter(3, 17)
+        with pytest.raises(NumericalError) as info:
+            simulate(model, grid, ConservedField(_uniform_block(model, 40)), 0.5, observers=[vacuum])
+        assert info.value.args == ("vacuum generated in cell 17",)
+        assert vacuum.t > 0.0
+        assert (info.value.cell, info.value.step, info.value.t) == (17, 4, vacuum.t)
+
+    def test_errors_without_a_location_leave_it_unset(self):
+        grid = Grid1D(0.0, 1.0, 32)
+        with pytest.raises(NumericalError) as info:
+            locate_shock(grid, ConservedField(np.tile(np.array([[1.0], [0.5]]), (1, 32))))
+        assert (info.value.cell, info.value.step, info.value.t) == (None, None, None)
 
 
 def _supersonic_left_block(n):

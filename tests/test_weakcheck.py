@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import baro_laws, loop_weak_residual, mollifier, mollifier_prime
+from oracles import baro_laws, bump_value, graded_gauss, loop_weak_residual, mollifier, mollifier_prime
 
+import shockaudit.weakcheck as weakcheck
 from shockaudit.eos import FluidState, GasModel
 from shockaudit.errors import DomainError, InvalidStateError, NumericalError
 from shockaudit.rh import hugoniot_solve, rh_residuals
@@ -75,40 +76,24 @@ class TestMollifier:
         assert np.all(m_prime[outside] == 0.0)
 
 
-class GatherScatterBump:
-    """A bump's gradient from the reference mollifier pair: (m'(tau)/rt) m(xi) and (m(tau) m'(xi))/rx."""
-
-    def __init__(self, bump):
-        self.bump = bump
-
-    def support(self):
-        return self.bump.support()
-
-    def grad(self, t, x):
-        b = self.bump
-        tau = (np.asarray(t) - b.t0) / b.rt
-        xi = (np.asarray(x) - b.x0) / b.rx
-        return mollifier_prime(tau) / b.rt * mollifier(xi), mollifier(tau) * mollifier_prime(xi) / b.rx
+def gather_scatter_mollifier(xi):
+    """The (m, m') pair from the gather/scatter reference, in _mollifier's calling form."""
+    return mollifier(xi), mollifier_prime(xi)
 
 
 class TestBumpProfile:
     def test_peak_and_support(self):
         bump = BumpTestFunction(0.3, 0.1, 0.2, 0.25)
-        assert bump.value(0.3, 0.1) == pytest.approx(1.0)
-        assert bump.value(0.3, 0.1 + 0.25) == 0.0
-        assert bump.value(0.3 + 0.2, 0.1) == 0.0
-        assert bump.grad(0.3 - 0.2, 0.1)[0] == 0.0
-        assert bump.grad(0.3, 0.1 + 0.25)[1] == 0.0
+        assert bump.support() == (0.3 - 0.2, 0.3 + 0.2, 0.1 - 0.25, 0.1 + 0.25)
+        assert [float(v) for v in _mollifier(0.0)] == [1.0, 0.0]
+        for edge in (-1.0, 1.0):
+            assert [float(v) for v in _mollifier(edge)] == [0.0, 0.0]
 
-    def test_derivatives_match_finite_differences(self):
-        bump = BumpTestFunction(0.3, 0.1, 0.2, 0.25)
-        h = 1e-7
-        t, x = 0.35, 0.02
-        dt_fd = (bump.value(t + h, x) - bump.value(t - h, x)) / (2.0 * h)
-        dx_fd = (bump.value(t, x + h) - bump.value(t, x - h)) / (2.0 * h)
-        h_t, h_x = bump.grad(t, x)
-        assert h_t == pytest.approx(float(dt_fd), rel=1e-6)
-        assert h_x == pytest.approx(float(dx_fd), rel=1e-6)
+    def test_derivative_matches_finite_differences(self):
+        step = 1e-7
+        for xi in (-0.9, -0.35, 0.2, 0.6):
+            m_fd = (_mollifier(xi + step)[0] - _mollifier(xi - step)[0]) / (2.0 * step)
+            assert _mollifier(xi)[1] == pytest.approx(float(m_fd), rel=1e-6)
 
     def test_positive_radii_required(self):
         with pytest.raises(InvalidStateError):
@@ -148,7 +133,7 @@ class TestWeakResidual:
         bump = BumpTestFunction(0.25, 0.0, 0.15, 0.3)
         res = rh_residuals(bad.jumps()[0], bad.model).mass
         ts = np.linspace(0.25 - 0.15, 0.25 + 0.15, 20001)
-        line = np.trapezoid(bump.value(ts, np.zeros_like(ts)), ts)
+        line = np.trapezoid(bump_value(bump, ts, np.zeros_like(ts)), ts)
         assert weak_residuals(bad, ("mass",), bump)[0] == pytest.approx(res * line, rel=1e-6)
 
     def test_support_must_stay_inside_domain(self):
@@ -161,59 +146,33 @@ class TestWeakResidual:
         with pytest.raises(InvalidStateError):
             weak_residuals(sol, ("vorticity",), BumpTestFunction(0.25, 0.0, 0.1, 0.1))
 
-    def test_linearity_in_test_function(self):
-        # Evaluated over one shared support box the quadrature is a fixed
-        # linear functional, so linearity in h must hold to roundoff.
-        sol = perturbed_example(0.2)
-
-        class OnBox:
-            def __init__(self, fn, box, coeff=1.0):
-                self.fn = fn
-                self.box = box
-                self.coeff = coeff
-
-            def support(self):
-                return self.box
-
-            def value(self, t, x):
-                return self.coeff * self.fn.value(t, x)
-
-            def grad(self, t, x):
-                h_t, h_x = self.fn.grad(t, x)
-                return self.coeff * h_t, self.coeff * h_x
-
-        class Combination(OnBox):
-            def __init__(self, parts, box):
-                self.parts = parts
-                self.box = box
-
-            def support(self):
-                return self.box
-
-            def value(self, t, x):
-                return sum(p.value(t, x) for p in self.parts)
-
-            def grad(self, t, x):
-                grads = [p.grad(t, x) for p in self.parts]
-                return sum(g[0] for g in grads), sum(g[1] for g in grads)
-
-        b1 = BumpTestFunction(0.2, -0.1, 0.1, 0.2)
-        b2 = BumpTestFunction(0.3, 0.15, 0.12, 0.18)
-        boxes = [b1.support(), b2.support()]
-        union = (
-            min(b[0] for b in boxes),
-            max(b[1] for b in boxes),
-            min(b[2] for b in boxes),
-            max(b[3] for b in boxes),
-        )
+    def test_linearity_in_the_region_constants(self):
+        # With the shocks and the bump fixed, the quadrature is a fixed
+        # linear functional of the per-region (U, F), so the mass residual of
+        # a combination of candidates is the combination of their residuals
+        # to roundoff.
+        mov = moving_barotropic()
+        bump = BumpTestFunction(0.3, mov.shock_position(0, 0.3) + 0.1, 0.15, 0.3)
         rng = np.random.default_rng(41)
+
+        def candidate(rho, rho_u):
+            return PiecewiseShockSolution(
+                model=mov.model,
+                states=tuple(FluidState(r, m / r) for r, m in zip(rho, rho_u)),
+                shock_positions_t0=mov.shock_positions_t0,
+                shock_speeds=mov.shock_speeds,
+                domain=mov.domain,
+                validate=False,
+            )
+
         for _ in range(10):
-            a, c = rng.uniform(-2, 2, size=2)
-            parts = [OnBox(b1, union, a), OnBox(b2, union, c)]
-            combined = weak_residuals(sol, ("mass",), Combination(parts, union))[0]
+            rho1, rho2 = rng.uniform(0.5, 2.5, size=(2, 2))
+            mom1, mom2 = rng.uniform(-1.5, 1.5, size=(2, 2))
+            a, c = rng.uniform(0.1, 2.0, size=2)
+            combined = weak_residuals(candidate(a * rho1 + c * rho2, a * mom1 + c * mom2), ("mass",), bump)[0]
             separate = (
-                a * weak_residuals(sol, ("mass",), OnBox(b1, union))[0]
-                + c * weak_residuals(sol, ("mass",), OnBox(b2, union))[0]
+                a * weak_residuals(candidate(rho1, mom1), ("mass",), bump)[0]
+                + c * weak_residuals(candidate(rho2, mom2), ("mass",), bump)[0]
             )
             assert combined == pytest.approx(separate, rel=1e-12, abs=1e-12)
 
@@ -245,27 +204,6 @@ class TestWeakResidual:
         assert abs(weak_residuals(sol, ("momentum",), bump)[0]) < 1e-8
 
 
-class BumpSum:
-    """Sum of bumps on their union box, exposing only grad and support."""
-
-    def __init__(self, *bumps):
-        boxes = [b.support() for b in bumps]
-        self.bumps = bumps
-        self.box = (
-            min(b[0] for b in boxes),
-            max(b[1] for b in boxes),
-            min(b[2] for b in boxes),
-            max(b[3] for b in boxes),
-        )
-
-    def support(self):
-        return self.box
-
-    def grad(self, t, x):
-        grads = [b.grad(t, x) for b in self.bumps]
-        return sum(g[0] for g in grads), sum(g[1] for g in grads)
-
-
 def moving_barotropic():
     """A barotropic shock moving at its Hugoniot speed, downstream u off by 0.1."""
     model = GasModel.barotropic(K=1.0, gamma=1.4)
@@ -287,6 +225,18 @@ def two_shock():
         states=(FluidState(1.0, 0.3), FluidState(1.6, -0.2), FluidState(2.4, 0.5)),
         shock_positions_t0=(-0.15, 0.2),
         shock_speeds=(-0.6, 0.9),
+        domain=Domain1D(-2.0, 2.0),
+        validate=False,
+    )
+
+
+def fixed_and_moving():
+    """A stationary shock and a moving one in one box: a fixed break next to a moving one."""
+    return PiecewiseShockSolution(
+        model=GasModel.barotropic(K=0.8, gamma=1.6),
+        states=(FluidState(1.0, 0.3), FluidState(1.6, -0.2), FluidState(2.4, 0.5)),
+        shock_positions_t0=(-0.1, 0.05),
+        shock_speeds=(0.0, 0.7),
         domain=Domain1D(-2.0, 2.0),
         validate=False,
     )
@@ -315,13 +265,13 @@ def _slab_cases():
     # Unaligned: the shock crosses no x-edge of the box, so the only slab
     # spans the whole support while the shock crosses the box midpoint.
     yield "unaligned-moving", mov, BumpTestFunction(t_mid, on_shock, 0.15, 0.3)
-    yield "sum-of-bumps", mov, BumpSum(
-        BumpTestFunction(0.25, mov.shock_position(0, 0.25), 0.1, 0.2),
-        BumpTestFunction(0.35, mov.shock_position(0, 0.35) - 0.1, 0.12, 0.25),
-    )
-    yield "sum-of-bumps-two-shock", two_shock(), BumpSum(
-        BumpTestFunction(0.3, -0.1, 0.15, 0.3), BumpTestFunction(0.25, 0.25, 0.1, 0.2)
-    )
+    # The bumps that the sum-of-bumps cases added on their union boxes.
+    yield "moving-on-shock", mov, BumpTestFunction(0.25, mov.shock_position(0, 0.25), 0.1, 0.2)
+    yield "moving-behind-shock", mov, BumpTestFunction(0.35, mov.shock_position(0, 0.35) - 0.1, 0.12, 0.25)
+    yield "two-shock-left", two_shock(), BumpTestFunction(0.3, -0.1, 0.15, 0.3)
+    yield "two-shock-right", two_shock(), BumpTestFunction(0.25, 0.25, 0.1, 0.2)
+    # The moving shock leaves the box mid-support; the stationary one stays.
+    yield "fixed-and-moving", fixed_and_moving(), BumpTestFunction(0.3, 0.05, 0.2, 0.3)
 
 
 SLAB_CASES = list(_slab_cases())
@@ -346,16 +296,20 @@ class TestSlabQuadratureAgainstLoop:
             assert abs(weak_residuals(sol, (comp,), h, quad)[0] - refs[i]) <= 1e-13 * scale
             assert abs(shared[i] - refs[i]) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("name,sol,h", SLAB_CASES[:5], ids=[c[0] for c in SLAB_CASES[:5]])
-    def test_residuals_bit_equal_to_gather_scatter_gradient(self, name, sol, h):
+    @pytest.mark.parametrize("name,sol,h", SLAB_CASES, ids=[c[0] for c in SLAB_CASES])
+    def test_residuals_bit_equal_to_gather_scatter_mollifier(self, name, sol, h, monkeypatch):
         comps = ("mass", "momentum", "energy")
-        assert weak_residuals(sol, comps, h) == weak_residuals(sol, comps, GatherScatterBump(h))
+        got = weak_residuals(sol, comps, h)
+        monkeypatch.setattr(weakcheck, "_mollifier", gather_scatter_mollifier)
+        assert got == weak_residuals(sol, comps, h)
 
     @pytest.mark.parametrize("sol", [perturbed_example(0.1), moving_barotropic(), two_shock()], ids=["stationary", "moving", "two-shock"])
-    def test_battery_bit_equal_to_gather_scatter_gradient(self, sol):
+    def test_battery_bit_equal_to_gather_scatter_mollifier(self, sol, monkeypatch):
         comps = ("mass", "momentum", "energy")
-        for bump in standard_battery(sol, count=10, seed=5):
-            assert weak_residuals(sol, comps, bump) == weak_residuals(sol, comps, GatherScatterBump(bump))
+        bumps = standard_battery(sol, count=10, seed=5)
+        got = [weak_residuals(sol, comps, bump) for bump in bumps]
+        monkeypatch.setattr(weakcheck, "_mollifier", gather_scatter_mollifier)
+        assert got == [weak_residuals(sol, comps, bump) for bump in bumps]
 
     def test_unaligned_region_changes_inside_the_slab(self):
         # Guard on the case itself: the shock really crosses the box
@@ -366,21 +320,24 @@ class TestSlabQuadratureAgainstLoop:
         assert mov.region_index(t_lo, centre) != mov.region_index(t_hi, centre)
 
 
-class CountingTestFunction:
-    """Wraps a test function and counts the points at which grad is evaluated."""
+class MollifierCount:
+    """Stands in for weakcheck._mollifier and counts its calls and the nodes passed to it."""
 
-    def __init__(self, h):
-        self.h = h
-        self.points = 0
+    def __init__(self):
         self.calls = 0
+        self.nodes = 0
 
-    def support(self):
-        return self.h.support()
-
-    def grad(self, t, x):
+    def __call__(self, xi):
         self.calls += 1
-        self.points += np.broadcast(t, x).size
-        return self.h.grad(t, x)
+        self.nodes += np.size(xi)
+        return _mollifier(xi)
+
+
+@pytest.fixture
+def count(monkeypatch):
+    counter = MollifierCount()
+    monkeypatch.setattr(weakcheck, "_mollifier", counter)
+    return counter
 
 
 LAW_SETS = [("mass", "momentum"), ("momentum", "energy"), ("mass", "momentum", "energy"), ("energy", "mass")]
@@ -397,27 +354,26 @@ class TestSharedEvaluation:
         assert shared == [weak_residuals(sol, (law,), h, quad)[0] for law in laws]
 
     @pytest.mark.parametrize("laws", LAW_SETS, ids="+".join)
-    def test_evaluates_the_points_of_one_single_law_call(self, laws):
+    def test_evaluates_the_nodes_of_one_single_law_call(self, laws, count):
         _, sol, h = SLAB_CASES[2]
-        single, shared = CountingTestFunction(h), CountingTestFunction(h)
-        weak_residuals(sol, ("mass",), single)
-        weak_residuals(sol, laws, shared)
-        assert single.points > 0
-        assert (shared.calls, shared.points) == (single.calls, single.points)
+        weak_residuals(sol, ("mass",), h)
+        single = (count.calls, count.nodes)
+        count.calls = count.nodes = 0
+        weak_residuals(sol, laws, h)
+        assert single[1] > 0
+        assert (count.calls, count.nodes) == single
 
-    def test_unknown_component_rejected_before_any_evaluation(self):
+    def test_unknown_component_rejected_before_any_evaluation(self, count):
         sol = stationary_shock_example(2.0)
-        h = CountingTestFunction(BumpTestFunction(0.25, 0.0, 0.1, 0.1))
         with pytest.raises(InvalidStateError, match="vorticity"):
-            weak_residuals(sol, ("mass", "momentum", "vorticity"), h)
-        assert h.calls == 0
+            weak_residuals(sol, ("mass", "momentum", "vorticity"), BumpTestFunction(0.25, 0.0, 0.1, 0.1))
+        assert count.calls == 0
 
-    def test_support_checked_before_any_evaluation(self):
+    def test_support_checked_before_any_evaluation(self, count):
         sol = stationary_shock_example(2.0)
-        h = CountingTestFunction(BumpTestFunction(0.25, 0.9, 0.15, 0.3))
         with pytest.raises(DomainError):
-            weak_residuals(sol, ("mass", "momentum"), h)
-        assert h.calls == 0
+            weak_residuals(sol, ("mass", "momentum"), BumpTestFunction(0.25, 0.9, 0.15, 0.3))
+        assert count.calls == 0
 
     def test_non_finite_residual_names_its_component(self):
         # rho u is finite but (rho u) u overflows: mass stays finite while
@@ -437,6 +393,35 @@ class TestSharedEvaluation:
                 weak_residuals(sol, ("mass", "momentum", "energy"), bump)
 
 
+NODE_COUNT_CASES = [
+    # (case, nodes): per slab, 128 time nodes, then 128 x-nodes for each
+    # sub-region between fixed breaks and 128 x 128 for each one next to a
+    # moving shock.
+    ("stationary", 128 + 2 * 128),
+    # The shock is inside the box until it leaves through the right edge.
+    ("moving", (128 + 2 * 128 * 128) + (128 + 128)),
+    # Both shocks inside, then one leaves, then the other.
+    ("two-shock", (128 + 3 * 128 * 128) + (128 + 2 * 128 * 128) + (128 + 128)),
+    # Left of the stationary shock is fixed on both sides; the moving shock leaves.
+    ("fixed-and-moving", (128 + 128 + 2 * 128 * 128) + (128 + 2 * 128)),
+]
+
+
+class TestNodeCount:
+    """weak_residuals evaluates each bump axis once per slab and sub-region."""
+
+    @pytest.mark.parametrize("name,expected", NODE_COUNT_CASES, ids=[c[0] for c in NODE_COUNT_CASES])
+    def test_mollifier_nodes_per_bump(self, name, expected, count):
+        _, sol, h = next(case for case in SLAB_CASES if case[0] == name)
+        quad = SpacetimeQuadrature(order=8, panels=16)
+        weak_residuals(sol, ("mass", "momentum", "energy"), h, quad)
+        assert count.nodes == expected
+        # The cached reference rule on [0, 1] that every slab and sub-region scales.
+        nodes, weights = quad.rule()
+        assert nodes.shape == weights.shape == (128,)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+
+
 class TestQuadratureGuards:
     @pytest.mark.parametrize("field", ["order", "panels"])
     @pytest.mark.parametrize("value", [0, -1, 2.7, 8.0, True, "8"])
@@ -444,19 +429,20 @@ class TestQuadratureGuards:
         with pytest.raises(InvalidStateError):
             SpacetimeQuadrature(**{field: value})
 
-    def test_nodes_computed_once_per_rule(self):
+    def test_rule_computed_once_per_order_and_panels(self):
         quad = SpacetimeQuadrature(order=5, panels=2)
-        assert quad.nodes() is quad.nodes()
-        for got, expected in zip(quad.nodes(), np.polynomial.legendre.leggauss(5)):
-            assert np.array_equal(got, expected)
+        assert quad.rule() is quad.rule()
+        for got, expected in zip(quad.rule(), graded_gauss(0.0, 1.0, 5, 2)):
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-15)
         assert quad == SpacetimeQuadrature(order=5, panels=2)
-        # Equal orders share one rule across instances, whatever the panels.
-        for other in (SpacetimeQuadrature(order=5, panels=7), SpacetimeQuadrature(order=np.int64(5))):
-            assert all(a is b for a, b in zip(other.nodes(), quad.nodes()))
-        assert SpacetimeQuadrature(order=6).nodes()[0] is not quad.nodes()[0]
+        # Equal sizes share one rule across instances, whatever their integer type.
+        other = SpacetimeQuadrature(order=np.int64(5), panels=np.int32(2))
+        assert all(a is b for a, b in zip(other.rule(), quad.rule()))
+        for different in (SpacetimeQuadrature(order=6, panels=2), SpacetimeQuadrature(order=5, panels=3)):
+            assert different.rule()[0] is not quad.rule()[0]
 
-    def test_shared_nodes_are_read_only(self):
-        for arr in SpacetimeQuadrature(order=5).nodes():
+    def test_shared_rule_is_read_only(self):
+        for arr in SpacetimeQuadrature(order=5).rule():
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
