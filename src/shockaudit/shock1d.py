@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 
-from .eos import FluidState, GasModel, balance_terms, pressure
+from .eos import FluidState, GasModel
 from .errors import DomainError, InvalidStateError
 from .rh import RESIDUAL_TOL, ShockJump, gated_residual, interface_energy_rate, rh_residuals
 
@@ -171,30 +171,14 @@ def translated(sol: PiecewiseShockSolution, dx: float) -> PiecewiseShockSolution
     )
 
 
-def boundary_energy_flux(sol: PiecewiseShockSolution) -> float:
-    """Boundary work/flux term of the energy budget, per the endpoint motion.
-
-    Material endpoints exchange pressure work only (-sum p u n_out); fixed
-    endpoints see the full energy flux (-sum (E+p) u n_out).
-    """
-    left, right = sol.states[0], sol.states[-1]
-    if sol.domain.motion == "material":
-        return pressure(sol.model, left) * left.u - pressure(sol.model, right) * right.u
-    return balance_terms(sol.model, left)[1][2] - balance_terms(sol.model, right)[1][2]
-
-
-def energy_rate(sol: PiecewiseShockSolution, include_boundary: bool = False) -> float:
+def energy_rate(sol: PiecewiseShockSolution) -> float:
     """Rate of change of total energy from the shock interfaces.
 
     Per shock the contribution is -v_s [[E]] + [[(E+p)u]] . n, the energy
     production of the interface (negative for dissipative barotropic shocks).
-    The default omits the endpoint flux term, reporting the pure interface
-    budget; include_boundary adds the term from boundary_energy_flux.
+    Endpoint flux terms are left out: this is the pure interface budget.
     """
-    total = sum(interface_energy_rate(jump, sol.model) for jump in sol.jumps())
-    if include_boundary:
-        total += boundary_energy_flux(sol)
-    return total
+    return sum(interface_energy_rate(jump, sol.model) for jump in sol.jumps())
 
 
 def length_rate(sol: PiecewiseShockSolution) -> float:

@@ -77,6 +77,16 @@ def full_jump_residuals(model_params, left, right, v_s):
     return mass, mom, energy
 
 
+def neg_potential(sol, densities, t):
+    """-V(t) for constant reference densities: sum of lambda_i (b_i(t) - a_i(t)).
+
+    Region i's labels X = x - u_i t have unit Jacobian, so their reference
+    length is the region's current length.
+    """
+    bounds = sol.region_bounds(t)
+    return sum(lam * (hi - lo) for lam, lo, hi in zip(densities, bounds, bounds[1:]))
+
+
 def scan_barotropic(K, gamma, rho_l, u_l, rho_r, tol=1e-10):
     """All (u_r, v_s) roots of the barotropic jump system.
 

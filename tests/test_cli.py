@@ -573,21 +573,49 @@ class TestEnergyAudit:
         assert summary["lambda_calibrated"]["left"] == 0.0
         assert abs(summary["augmented_rate"]) < 1e-12
 
-    def test_config_solution_block(self, tmp_path):
-        cfg = {
-            "model": {"kind": "barotropic_polytropic", "K": 2.0 / 3.0, "gamma": 2.0},
+    @staticmethod
+    def audit_config(tmp_path, K, states, shock_positions, shock_speeds):
+        return {
+            "model": {"kind": "barotropic_polytropic", "K": K, "gamma": 2.0},
             "solution": {
-                "states": [{"rho": 1.0, "u": 2.0}, {"rho": 2.0, "u": 1.0}],
-                "shock_positions": [0.0],
-                "shock_speeds": [0.0],
-                "domain": {"x_min": -2.0, "x_max": 2.0},
+                "states": states,
+                "shock_positions": shock_positions,
+                "shock_speeds": shock_speeds,
+                "domain": {"x_min": -1.0, "x_max": 1.0},
             },
             "task": {"name": "energy-audit"},
             "output": {"dir": str(tmp_path / "out")},
         }
+
+    @pytest.mark.parametrize("s", [1.0, 2.0 ** -47])
+    def test_config_solution_block(self, tmp_path, s):
+        # The reference shock with u scaled by s and K by s**2.  An absolute
+        # 1e-13 cut on u - v_s found no gauge at s = 2**-47 (exit 4).
+        states = [{"rho": 1.0, "u": 2.0 * s}, {"rho": 2.0, "u": s}]
+        cfg = self.audit_config(tmp_path, 2.0 / 3.0 * s * s, states, [0.0], [0.0])
         assert main(["--config", write_config(tmp_path, cfg)]) == 0
         summary = read_summary(tmp_path, "energy_audit")
-        assert summary["lambda_calibrated"]["right"] == pytest.approx(-1.0 / 3.0, abs=1e-12)
+        assert summary["lambda_calibrated"]["left"] == 0.0
+        assert summary["lambda_calibrated"]["right"] == pytest.approx(-s * s / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "positions, status, kind, message",
+        [
+            ([-0.5, 0.5], 3, "validation", "calibration is defined for two-state"),
+            ([0.0], 4, "numerical", "both states move with the interface"),
+        ],
+    )
+    def test_refusal_writes_nothing(self, tmp_path, capsys, positions, status, kind, message):
+        # Zero jumps moving with the flow: a three-state solution has no
+        # single shock to calibrate, and with u = v_s on both sides the
+        # calibration fixes nothing beyond the gauge.
+        states = [{"rho": 1.0, "u": 0.5}] * (len(positions) + 1)
+        cfg = self.audit_config(tmp_path, 1.0, states, positions, [0.5] * len(positions))
+        assert main(["--config", write_config(tmp_path, cfg)]) == status
+        record = json.loads(capsys.readouterr().err)["error"]
+        assert record["kind"] == kind
+        assert message in record["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestFvRun:

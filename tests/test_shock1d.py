@@ -146,13 +146,6 @@ class TestEnergyRate:
         )
         assert energy_rate(sol) == 0.0
 
-    def test_boundary_term_reported_separately(self):
-        sol = stationary_shock_example(2.0, motion="material")
-        interface = energy_rate(sol)
-        with_boundary = energy_rate(sol, include_boundary=True)
-        # Material end caps exchange pressure work p_l u_l - p_r u_r.
-        assert with_boundary - interface == pytest.approx(4.0 / 3.0 - 8.0 / 3.0, abs=1e-13)
-
 
 class TestLengthRate:
     @pytest.mark.parametrize("gamma", [1.2, 1.7, 2.0, 3.0])
