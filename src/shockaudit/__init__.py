@@ -1,4 +1,8 @@
-"""Exact 1D shock solutions, Rankine-Hugoniot audits, and energy balances."""
+"""Exact 1D shock solutions, Rankine-Hugoniot audits, and energy balances.
+
+The weak-form checker's names are loaded from `weakcheck` on first use, so
+importing the package does not import numpy.
+"""
 
 from .eos import FluidState, GasKind, GasModel
 from .rh import (
@@ -24,9 +28,19 @@ from .lagrangian_maps import (
     calibrate_lambda,
     calibrated_flow_map,
 )
-from .weakcheck import BumpTestFunction, SpacetimeQuadrature, weak_residuals
 
 __version__ = "0.1.0"
+
+_WEAKCHECK_NAMES = ("BumpTestFunction", "SpacetimeQuadrature", "weak_residuals")
+
+
+def __getattr__(name):
+    if name in _WEAKCHECK_NAMES:
+        from . import weakcheck
+
+        return getattr(weakcheck, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "FluidState",

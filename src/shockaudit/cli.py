@@ -6,6 +6,10 @@ value into the one key _FLAGS names for the task (so it overrides the file),
 a flag outside its task row is a validation error, and the document is then
 checked once by config.validate_config.
 
+Only fv-run and weak-verify import numpy and the two array oracles
+(`fv_solver`, `weakcheck`), inside their task functions: the closed-form
+tasks never load them.
+
 Exit status: 0 all configured audits passed, 1 an audit failed, 2 the
 configuration or the command line could not be parsed, 3 it failed
 validation (an unusable output.dir included), 4 a numerical procedure
@@ -20,8 +24,6 @@ import os
 import sys
 from functools import partial
 
-import numpy as np
-
 from . import config as cfgmod
 from .config import RunConfig, dumps_deterministic, format_float
 from .errors import (
@@ -31,12 +33,9 @@ from .errors import (
     InvalidStateError,
     ShockAuditError,
 )
-from .fv_solver import Grid1D, ShockTrack, Snapshots, cell_primitives, field_from_solution
-from .fv_solver import measure_shock, simulate
 from .lagrangian_maps import augmented_energy_rate, calibrated_flow_map
 from .rh import gated_residual, hugoniot_solve, rh_residuals
 from .shock1d import stationary_shock_example, volume_potential_mismatch
-from .weakcheck import BumpTestFunction, SpacetimeQuadrature, standard_battery, weak_residuals
 
 EXIT_OK = 0
 EXIT_AUDIT = 1
@@ -151,18 +150,21 @@ def _resolve_config(args) -> RunConfig:
 def _csv_cells(column) -> list:
     """One column's cell strings.
 
-    A float64 array (an fv-run field) is formatted once per distinct bit
+    A short list or tuple of Python scalars is formatted value by value; a
+    float64 array (an fv-run field) is formatted once per distinct bit
     pattern, so -0.0 and 0.0 stay apart, after a finiteness check on the
-    whole array; a short list of Python scalars is formatted value by value.
+    whole array.
     """
-    if isinstance(column, np.ndarray):
-        finite = np.isfinite(column)
-        if not finite.all():
-            format_float(float(column[~finite][0]))  # raises ConfigError
-        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-        text = [format_float(v) for v in bits.view(np.float64).tolist()]
-        return [text[i] for i in inverse.tolist()]
-    return [format_float(v) if isinstance(v, float) else str(v) for v in column]
+    if isinstance(column, (list, tuple)):
+        return [format_float(v) if isinstance(v, float) else str(v) for v in column]
+    import numpy as np
+
+    finite = np.isfinite(column)
+    if not finite.all():
+        format_float(float(column[~finite][0]))  # raises ConfigError
+    bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    text = [format_float(v) for v in bits.view(np.float64).tolist()]
+    return [text[i] for i in inverse.tolist()]
 
 
 def _csv_text(header, columns) -> str:
@@ -269,6 +271,11 @@ def _run_rh_solve(cfg: RunConfig):
 
 
 def _run_fv(cfg: RunConfig):
+    import numpy as np
+
+    from .fv_solver import Grid1D, ShockTrack, Snapshots, cell_primitives, field_from_solution
+    from .fv_solver import measure_shock, simulate
+
     model = cfg.model
     sol = cfg.solution
     task = cfg.task
@@ -315,6 +322,8 @@ def _run_fv(cfg: RunConfig):
 
 
 def _run_weak_verify(cfg: RunConfig):
+    from .weakcheck import BumpTestFunction, SpacetimeQuadrature, standard_battery, weak_residuals
+
     sol = cfg.solution
     task = cfg.task
     default_components = ["mass", "momentum"]

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .eos import FluidState, GasKind, GasModel
 from .errors import ConfigError, ConfigParseError
@@ -358,11 +357,13 @@ def dumps_deterministic(obj, indent: int = 0) -> str:
     inner = "  " * (indent + 1)
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
+    # A numpy scalar can exist only once numpy has been imported.
+    np = sys.modules.get("numpy")
+    if isinstance(obj, bool) or np is not None and isinstance(obj, np.bool_):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int) or np is not None and isinstance(obj, np.integer):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float) or np is not None and isinstance(obj, np.floating):
         return format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)

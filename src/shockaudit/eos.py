@@ -17,15 +17,18 @@ oracles: the conserved variables U = (rho, rho u, E), the physical flux
 F(U) = u U + p (0, 1, u), and the pressure and sound-speed closures.  The
 closures take scalars or numpy arrays alike; Python scalars go through
 `math`, arrays through numpy, so each caller keeps its own rounding.
+
+This module never imports numpy itself.  Arrays arrive only from the two
+array oracles, `fv_solver` and `weakcheck`, which import it; the closed-form
+audits (`rh`, `shock1d`, `lagrangian_maps`) pass scalars and run without it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import InvalidStateError, UnsupportedModelError
 
@@ -37,9 +40,15 @@ def require_finite(owner: str, **values) -> None:
             raise InvalidStateError(f"{owner} {name} must be finite, got {value}")
 
 
+def _is_array(x) -> bool:
+    """True for a numpy array; one can exist only once numpy has been imported."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
+
+
 def _lib(x):
-    """numpy for arrays, math for Python scalars."""
-    return np if isinstance(x, np.ndarray) else math
+    """numpy for arrays, math for Python scalars (numpy scalars included)."""
+    return sys.modules["numpy"] if _is_array(x) else math
 
 
 class GasKind(Enum):
@@ -198,7 +207,7 @@ def entropy_density_from_pressure(model: GasModel, rho, p):
     if not model.carries_entropy:
         raise UnsupportedModelError("barotropic models carry no entropy variable")
     positive = (rho > 0.0) & (p > 0.0)
-    if not (positive.all() if isinstance(positive, np.ndarray) else positive):
+    if not (positive.all() if _is_array(positive) else positive):
         raise InvalidStateError(f"need positive rho and p, got rho={rho}, p={p}")
     S = model.c_v * _lib(p).log(p / ((model.gamma - 1.0) * model.e_ref * rho ** model.gamma))
     return rho * S

@@ -2,11 +2,14 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
+import shockaudit
 from shockaudit import cli
 from shockaudit.cli import main
 from shockaudit.config import (
@@ -850,6 +853,67 @@ class TestRepeatedMain:
                 assert self.run(capsys, out_dir, argv) == first[calls.index((out_dir, argv))], argv
 
 
+# Runs each argv list of sys.argv[1] (JSON) through cli.main in this fresh
+# interpreter and prints the exit statuses and which array modules got loaded.
+_FRESH_MAIN = """
+import contextlib, io, json, sys
+from shockaudit import cli
+statuses = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        statuses.append(cli.main(argv))
+array_modules = ("numpy", "shockaudit.fv_solver", "shockaudit.weakcheck")
+print(json.dumps({"statuses": statuses, "loaded": [m for m in array_modules if m in sys.modules]}))
+"""
+
+
+def _fresh_main(argvs):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shockaudit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestLazyImports:
+    """Only fv-run and weak-verify load numpy and the array oracles."""
+
+    def test_closed_form_tasks_import_no_array_module(self, tmp_path):
+        out = str(tmp_path / "out")
+        jump = {
+            "model": {"kind": "barotropic_polytropic", "K": 2.0 / 3.0, "gamma": 2.0},
+            "task": {
+                "name": "rh-solve",
+                "jump": {"left": {"rho": 1.0, "u": 2.0}, "right": {"rho": 2.0, "u": 1.0}, "v_s": 0.0},
+            },
+        }
+        argvs = [
+            ["rh-solve", "--left", "1,2", "--rho-right", "2", "--out-dir", out],
+            ["--config", write_config(tmp_path, jump), "--out-dir", out],
+            ["shock-example", "--gamma", "2", "--out-dir", out],
+            ["energy-audit", "--gamma", "1.6", "--out-dir", out],
+        ]
+        assert _fresh_main(argvs) == {"statuses": [0, 0, 0, 0], "loaded": []}
+
+    def test_array_tasks_run_in_a_fresh_interpreter(self, tmp_path):
+        out = str(tmp_path / "out")
+        fv = dict(_baro_stationary_shock(), task={"name": "fv-run", "n_cells": 32, "t_final": 0.05})
+        weak = dict(_baro_stationary_shock(), task={"name": "weak-verify", "count": 2, "seed": 1})
+        argvs = [
+            ["--config", write_config(tmp_path, fv, "fv.json"), "--out-dir", out],
+            ["--config", write_config(tmp_path, weak, "weak.json"), "--out-dir", out],
+        ]
+        assert _fresh_main(argvs)["statuses"] == [0, 0]
+
+    def test_every_exported_name_resolves(self):
+        for name in shockaudit.__all__:
+            assert getattr(shockaudit, name) is not None, name
+        assert shockaudit.weak_residuals is weak_residuals
+        with pytest.raises(AttributeError):
+            shockaudit.no_such_name
+
+
 class TestCsvColumns:
     """fv-run hands its table to the writer as float64 columns; the bytes stay per-value."""
 
@@ -1088,6 +1152,12 @@ class TestSerialization:
     def test_non_finite_rejected(self):
         with pytest.raises(ConfigError):
             format_float(float("nan"))
+
+    def test_numpy_scalars_dump_like_python_scalars(self):
+        for value, plain in ((np.bool_(True), True), (np.bool_(False), False), (np.int64(-7), -7),
+                             (np.float64(2.0 / 3.0), 2.0 / 3.0), (np.float64(-0.0), -0.0)):
+            assert dumps_deterministic(value) == dumps_deterministic(plain)
+            assert dumps_deterministic({"k": [value]}) == dumps_deterministic({"k": [plain]})
 
     def test_deterministic_dump_sorts_keys(self):
         a = dumps_deterministic({"b": 1.0, "a": [1, 2.5]})
