@@ -22,7 +22,7 @@ import argparse
 import logging
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import config as cfgmod
 from .config import RunConfig, dumps_deterministic, format_float
@@ -101,6 +101,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigParseError(message)
 
 
+# Built once per process: parse_args leaves the parser unchanged and returns
+# a new namespace each call.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="shockaudit",
