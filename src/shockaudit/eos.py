@@ -158,9 +158,23 @@ def internal_energy_density(model: GasModel, state: FluidState) -> float:
     return model.e_ref * state.rho ** model.gamma * math.exp(S / model.c_v)
 
 
+def _kinetic_energy_density(state: FluidState) -> float:
+    """0.5 rho u^2.
+
+    u is squared as u * u, which is correctly rounded, so the energy of a
+    state scales exactly with a power-of-2 velocity unit; libm's pow behind
+    u ** 2 is not.  Past the double range it raises OverflowError, as
+    u ** 2 does, instead of returning inf.
+    """
+    u2 = state.u * state.u
+    if u2 == math.inf:
+        raise OverflowError(f"velocity {state.u} squared is out of the double range")
+    return 0.5 * state.rho * u2
+
+
 def energy_density(model: GasModel, state: FluidState) -> float:
     """Total energy per unit volume, E = 0.5 rho u^2 + eps."""
-    return 0.5 * state.rho * state.u ** 2 + internal_energy_density(model, state)
+    return _kinetic_energy_density(state) + internal_energy_density(model, state)
 
 
 def temperature(model: GasModel, state: FluidState) -> float:
@@ -199,7 +213,7 @@ def balance_terms(model: GasModel, state: FluidState):
 
 def lagrangian_density(model: GasModel, state: FluidState) -> float:
     """l = 0.5 rho u^2 - eps(rho[, s])."""
-    return 0.5 * state.rho * state.u ** 2 - internal_energy_density(model, state)
+    return _kinetic_energy_density(state) - internal_energy_density(model, state)
 
 
 def entropy_density_from_pressure(model: GasModel, rho, p):

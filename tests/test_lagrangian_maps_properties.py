@@ -3,9 +3,9 @@
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from shockaudit.eos import FluidState, GasModel, energy_density
+from shockaudit.eos import FluidState, GasModel
 from shockaudit.lagrangian_maps import calibrate_lambda
 from shockaudit.rh import hugoniot_solve
 from shockaudit.shock1d import Domain1D, PiecewiseShockSolution
@@ -37,15 +37,17 @@ def two_state_solution(K, gamma, left, right, v_s):
     ratio=st.one_of(st.floats(1.1, 2.2), st.floats(0.45, 0.9)),
     k=st.integers(-50, 10),
 )
+# One input in a few thousand tells u ** 2 (libm pow) from u * u; these two
+# differ in the last bits of lambda_right under u ** 2.
+@example(gamma=1.513, K=1.002, rho=1.015, u=-0.933, ratio=1.505, k=-17)
+@example(gamma=2.118, K=0.778, rho=1.24, u=-0.99, ratio=0.51, k=-4)
 def test_calibration_scales_with_the_velocity_unit(gamma, K, rho, u, ratio, k):
     # u and v_s scaled by s = 2**k and K by s**2 scale every energy term by
     # s**2 and every energy flux by s**3, so lambda = rate / relative speed
     # scales by s**2 and the gauge (which lambda is pinned to 0) stays put.
-    # Products scale exactly in floating point, but u ** 2 goes through libm
-    # pow, which can round a near-tie square of the scaled u the other way.
-    # That ulp of E passes through the energy rate's cancellation into
-    # lambda, which is measured in units of E, so the bound is a few hundred
-    # ulps of the larger energy density.
+    # Products, sums and quotients scale exactly by powers of 2 in floating
+    # point (k is bounded so nothing leaves the normal range), and eos squares
+    # u as u * u, so the scaled lambdas are exact.
     model = GasModel.barotropic(K=K, gamma=gamma)
     left = FluidState(rho, u)
     jump = hugoniot_solve(left, rho * ratio, model)
@@ -57,6 +59,4 @@ def test_calibration_scales_with_the_velocity_unit(gamma, K, rho, u, ratio, k):
             K * s * s, gamma, FluidState(left.rho, left.u * s), FluidState(right.rho, right.u * s), jump.v_s * s
         )
     )
-    assert [lam == 0.0 for lam in scaled] == [lam == 0.0 for lam in original]
-    e_scale = max(energy_density(model, left), energy_density(model, right))
-    assert scaled == pytest.approx(tuple(s * s * lam for lam in original), rel=0.0, abs=1e-13 * s * s * e_scale)
+    assert scaled == tuple(s * s * lam for lam in original)
