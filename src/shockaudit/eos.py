@@ -18,9 +18,10 @@ F(U) = u U + p (0, 1, u), and the pressure and sound-speed closures.  The
 closures take scalars or numpy arrays alike; Python scalars go through
 `math`, arrays through numpy, so each caller keeps its own rounding.
 
-This module never imports numpy itself.  Arrays arrive only from the two
-array oracles, `fv_solver` and `weakcheck`, which import it; the closed-form
-audits (`rh`, `shock1d`, `lagrangian_maps`) pass scalars and run without it.
+This module never imports numpy: an array can reach it only from code that
+imported numpy, in this package the array oracles `fv_solver` and
+`weakcheck`.  The closed-form audits (`rh`, `shock1d`, `lagrangian_maps`)
+pass scalars and run without numpy.
 """
 
 from __future__ import annotations
