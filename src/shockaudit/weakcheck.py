@@ -25,15 +25,33 @@ COMPONENTS = ("mass", "momentum", "energy")
 def _mollifier(xi):
     """(m, m') of m(xi) = exp(1 - 1/(1 - xi^2)) on |xi| < 1, both identically zero outside.
 
-    One exp per node serves both values.  Outside the interval w <= 0 makes
-    the arithmetic overflow or divide by zero; those nodes are discarded.
+    One exp per node serves both values, computed in place in three node
+    arrays.  Outside the interval w <= 0 makes the arithmetic overflow or
+    divide by zero; only when some node lies there (or is NaN, or there are
+    no nodes) are those nodes found and discarded.
     """
     xi = np.asarray(xi, dtype=float)
-    inside = np.abs(xi) < 1.0
+    w = np.empty_like(xi)
+    e = np.empty_like(xi)
+    e_prime = np.empty_like(xi)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w = 1.0 - xi ** 2
-        e = np.exp(1.0 - 1.0 / w)
-        e_prime = e * (-2.0 * xi / w ** 2)
+        # w = 1 - xi^2
+        np.square(xi, out=w)
+        np.subtract(1.0, w, out=w)
+        # w > 0 exactly when |xi| < 1; a NaN node compares false.
+        all_inside = w.size > 0 and w.min() > 0.0
+        # e = exp(1 - 1 / w)
+        np.divide(1.0, w, out=e)
+        np.subtract(1.0, e, out=e)
+        np.exp(e, out=e)
+        # e' = e * (-2 xi / w^2)
+        np.multiply(-2.0, xi, out=e_prime)
+        np.square(w, out=w)
+        np.divide(e_prime, w, out=e_prime)
+        np.multiply(e, e_prime, out=e_prime)
+    if all_inside:
+        return e, e_prime
+    inside = np.abs(xi) < 1.0
     return np.where(inside, e, 0.0), np.where(inside, e_prime, 0.0)
 
 
@@ -183,19 +201,21 @@ def weak_residuals(
         inside = np.flatnonzero((x_lo < at_mid) & (at_mid < x_hi))
         shocks = [shock_xs[i] if speeds[i] else x0[i:i + 1] for i in inside]
         breaks = [np.full(1, x_lo), *shocks, np.full(1, x_hi)]
-        accs = [np.zeros_like(ts) for _ in consts]
+        # One row per law; each row gathers U a + F b over the sub-regions.
+        accs = np.zeros((len(consts), len(ts)))
         for lo, hi in zip(breaks, breaks[1:]):
             region = np.count_nonzero(shock_xs < 0.5 * (lo + hi), axis=0)
             length = hi - lo
-            xi = ((lo - h.x0) / h.rx)[:, None] + (length / h.rx)[:, None] * nodes
+            xi = (length / h.rx)[:, None] * nodes
+            xi += ((lo - h.x0) / h.rx)[:, None]
             m_x, m_x_prime = _mollifier(xi)
             a = m_t_prime * (length * (m_x @ weights)) / h.rt
             b = m_t * (length * (m_x_prime @ weights)) / h.rx
-            for acc, law in zip(accs, consts):
-                U, F = law[region].T
-                acc += U * a
-                acc += F * b
+            UF = consts[:, region]
+            accs += UF[..., 0] * a
+            accs += UF[..., 1] * b
         wts = (tb - ta) * weights
+        # One dot per law: a matrix-vector product would not sum in the same order.
         for m, acc in enumerate(accs):
             totals[m] += float(np.dot(wts, acc))
     for component, total in zip(components, totals):

@@ -1,9 +1,11 @@
+import ctypes
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -854,7 +856,8 @@ class TestRepeatedMain:
 
 
 # Runs each argv list of sys.argv[1] (JSON) through cli.main in this fresh
-# interpreter and prints the exit statuses and which array modules got loaded.
+# interpreter and prints the exit statuses and which array modules got loaded
+# (ctypes included: only the array tasks set the heap thresholds through it).
 _FRESH_MAIN = """
 import contextlib, io, json, sys
 from shockaudit import cli
@@ -862,7 +865,7 @@ statuses = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         statuses.append(cli.main(argv))
-array_modules = ("numpy", "shockaudit.fv_solver", "shockaudit.weakcheck")
+array_modules = ("numpy", "shockaudit.fv_solver", "shockaudit.weakcheck", "ctypes")
 print(json.dumps({"statuses": statuses, "loaded": [m for m in array_modules if m in sys.modules]}))
 """
 
@@ -877,7 +880,7 @@ def _fresh_main(argvs):
 
 
 class TestLazyImports:
-    """Only fv-run and weak-verify load numpy and the array oracles."""
+    """Only fv-run and weak-verify load numpy, ctypes and the array oracles."""
 
     def test_closed_form_tasks_import_no_array_module(self, tmp_path):
         out = str(tmp_path / "out")
@@ -912,6 +915,25 @@ class TestLazyImports:
         assert shockaudit.weak_residuals is weak_residuals
         with pytest.raises(AttributeError):
             shockaudit.no_such_name
+
+
+class TestKeepFreedHeap:
+    """The array tasks' malloc thresholds: set through mallopt where libc has it."""
+
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        assert cli._keep_freed_heap.__wrapped__() is None
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_returns_quietly_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert cli._keep_freed_heap.__wrapped__() is None
 
 
 class TestCsvColumns:
