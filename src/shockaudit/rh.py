@@ -32,6 +32,7 @@ from .errors import (
     InvalidJumpError,
     InvalidStateError,
     NoShockError,
+    NumericalError,
 )
 
 #: Absolute residual level accepted as "satisfies the jump conditions"
@@ -108,7 +109,9 @@ def rh_residuals(jump: ShockJump, model: GasModel) -> RhResidual:
 
     The entropy-variable residual is reported as exact zero for barotropic
     models; the energy residual picks up the temperature-weighted entropy
-    flux term only when a nonzero js is supplied.
+    flux term only when a nonzero js is supplied.  A residual that is not
+    finite (finite states whose flux overflows a double) is a NumericalError
+    naming the first such law.
     """
     left, right = jump.left, jump.right
     n, v_s = jump.n, jump.v_s
@@ -133,7 +136,11 @@ def rh_residuals(jump: ShockJump, model: GasModel) -> RhResidual:
             v_s, n, q_l, q_r, q_l * left.u + jump.js_left, q_r * right.u + jump.js_right
         )
 
-    return RhResidual(mass=mass, momentum=momentum, energy=energy, entropy_var=entropy_var)
+    res = RhResidual(mass=mass, momentum=momentum, energy=energy, entropy_var=entropy_var)
+    for law, value in res.as_dict().items():
+        if not math.isfinite(value):
+            raise NumericalError(f"non-finite {law} jump residual {value}")
+    return res
 
 
 def gated_residual(res: RhResidual, model: GasModel) -> float:

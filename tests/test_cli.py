@@ -145,6 +145,27 @@ class TestRhSolve:
         assert record["error"]["kind"] == "numerical"
         assert "overflow" in record["error"]["message"]
 
+    @pytest.mark.parametrize("mode", ["flags", "jump"])
+    def test_flux_overflow_is_numerical_error(self, tmp_path, capsys, mode):
+        # u = 1e150 squares within the double range, but the energy flux
+        # (E + p) u overflows and the energy residual is NaN.
+        out = str(tmp_path / "out")
+        if mode == "flags":
+            argv = ["--out-dir", out, "rh-solve", "--left", "1,1e150", "--rho-right", "2"]
+        else:
+            cfg = {
+                "model": {"kind": "barotropic_polytropic", "K": 1.0, "gamma": 1.4},
+                "task": {
+                    "name": "rh-solve",
+                    "jump": {"left": {"rho": 1.0, "u": 1e150}, "right": {"rho": 2.0, "u": 1e150}, "v_s": 0.0},
+                },
+            }
+            argv = ["--config", write_config(tmp_path, cfg), "--out-dir", out]
+        assert main(argv) == 4
+        record = json.loads(capsys.readouterr().err)["error"]
+        assert (record["kind"], record["message"]) == ("numerical", "non-finite energy jump residual nan")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flags", [["--gamma", "inf"], ["--K", "nan"], ["--left", "1,inf"]])
     def test_non_finite_flags_are_validation_errors(self, tmp_path, capsys, flags):
         argv = ["--out-dir", str(tmp_path / "out"), "rh-solve", "--left", "1,2", "--rho-right", "2"]

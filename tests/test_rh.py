@@ -10,6 +10,7 @@ from shockaudit.errors import (
     InvalidJumpError,
     InvalidStateError,
     NoShockError,
+    NumericalError,
 )
 from shockaudit.rh import (
     RESIDUAL_TOL,
@@ -76,6 +77,14 @@ class TestResiduals:
         expected_entropy = base.entropy_var - ((-0.2) - 0.1)
         assert res.energy == pytest.approx(expected_energy, rel=1e-13)
         assert res.entropy_var == pytest.approx(expected_entropy, rel=1e-13)
+
+    @pytest.mark.parametrize("u_right,value", [(1e150, "nan"), (1.0, "inf")])
+    def test_overflowing_flux_names_the_non_finite_law(self, u_right, value):
+        # Finite states whose u * u fits a double, but whose energy flux
+        # (E + p) u overflows: the energy bracket is inf - inf or inf.
+        jump = ShockJump(left=FluidState(1.0, 1e150), right=FluidState(2.0, u_right))
+        with pytest.raises(NumericalError, match=f"^non-finite energy jump residual {value}$"):
+            rh_residuals(jump, GAMMA2)
 
     def test_entropy_flux_needs_entropy_model(self):
         jump = ShockJump(left=LEFT, right=RIGHT, n=1.0, v_s=0.0, js_left=0.1)
