@@ -197,7 +197,7 @@ def _csv_cells(column) -> list:
         format_float(float(column[~finite][0]))  # raises ConfigError
     bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
     text = [format_float(v) for v in bits.view(np.float64).tolist()]
-    return [text[i] for i in inverse.tolist()]
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def _csv_text(header, columns) -> str:

@@ -8,7 +8,7 @@ against the algebraic jump conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -58,10 +58,17 @@ class ConservedField:
     Components are (rho, rho u) for barotropic runs and (rho, rho u, E) for
     the full system.  boundary_flux records the (left, right) interface
     fluxes of the update that produced the field, for conservation budgets.
+
+    A field returned by step is read-only and carries window, the cells
+    (lo, hi) the next step can change: every cell left of lo holds the bits
+    of cell lo, every cell from hi on those of cell hi - 1.  A field built
+    any other way has no window, and its first step searches the whole grid
+    for one (see _active_window).
     """
 
     data: np.ndarray
     boundary_flux: tuple | None = None
+    window: tuple[int, int] | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -109,7 +116,7 @@ def _primitives(model: GasModel, U: np.ndarray):
     return U[1] / rho, p, sound_speed_from(model, rho, p)
 
 
-def _active_window(U: np.ndarray, bc: str) -> tuple[int, int, bool]:
+def _active_window(U: np.ndarray, bc: str, carried: tuple[int, int] | None = None) -> tuple[int, int, bool]:
     """(lo, hi, wrap): the cells lo:hi a step can change, and whether their
     ghost cells wrap around.
 
@@ -118,18 +125,39 @@ def _active_window(U: np.ndarray, bc: str) -> tuple[int, int, bool]:
     blocks, each a copy of the window cell it touches.  A uniform field is
     stood for by its first cell.  A periodic field whose end cells differ is
     stepped whole, with wrapped ghosts; with equal end cells the wrapped
-    ghosts are copies of the end cells, as under outflow.
+    ghosts are copies of the end cells, as under outflow.  A carried window
+    (ConservedField.window) is taken as it is instead of searching the grid.
     """
     bits = U.view(np.int64)
     n = bits.shape[1]
     if bc == "periodic" and (bits[:, 0] != bits[:, -1]).any():
         return 0, n, True
+    if carried is not None:
+        return (*carried, False)
     differs = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
     first = int(differs.argmax())
     if not differs[first]:
         return 0, 1, False
     last = n - 2 - int(differs[::-1].argmax())
     return first, last + 2, False
+
+
+def _grown_window(U: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
+    """The window of a field whose cells lo:hi were just stepped.
+
+    The cells outside lo:hi kept their bits, so each uniform block outside
+    still holds the bits its window end cell had before the step.  The
+    window grows by the one outside cell that now differs from its
+    neighbour, at each end.  It never shrinks: a superset of the exact
+    window steps to the same bits, since a cell whose neighbours hold its
+    own bits sees two identical interface fluxes and gets dU = 0 exactly.
+    """
+    bits = U.view(np.int64)
+    if lo > 0 and bits[:, lo - 1].tolist() != bits[:, lo].tolist():
+        lo -= 1
+    if hi < bits.shape[1] and bits[:, hi].tolist() != bits[:, hi - 1].tolist():
+        hi += 1
+    return lo, hi
 
 
 def _cell_block(model: GasModel, U: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -177,12 +205,17 @@ def step(
     S_R = max(u + c) over the interface pair.  Returns the updated field and
     the time step actually taken.  A cell that is not finite, or whose
     density or internal energy is not positive, raises NumericalError naming
-    the first such cell.
+    the first such cell.  The input field is never modified.
 
     Only the active window (see _active_window) is updated.  Every cell
     outside it holds the bits of a window end cell, so the ghost cells, the
     boundary fluxes, the extreme wave speeds and the checks are those of the
-    whole grid: the result is bit for bit the full-grid update.
+    whole grid: the result is bit for bit the full-grid update.  The window
+    comes from field.window when the field carries one, so a chain of steps
+    costs the width of its window rather than n_cells.  The returned field
+    carries its own window and its data is read-only, so that window cannot
+    go stale; step a writeable copy (ConservedField(data.copy())) to change
+    cells between steps.
     """
     if not 0.0 < cfl <= 1.0:
         raise InvalidStateError(f"cfl must lie in (0, 1], got {cfl}")
@@ -192,7 +225,9 @@ def step(
     k = U.shape[0]
     if k != _n_comp(model):
         raise InvalidStateError("field component count does not match the model")
-    lo, hi, wrap = _active_window(U, bc)
+    if U.shape[1] != grid.n_cells:
+        raise InvalidStateError(f"field has {U.shape[1]} cells, the grid {grid.n_cells}")
+    lo, hi, wrap = _active_window(U, bc, field.window)
     try:
         cells, slowest, fastest = _cell_block(model, U[:, lo:hi])
     except NumericalError:
@@ -237,7 +272,10 @@ def step(
     except NumericalError:
         _check_positivity(U_new)
         raise
-    return ConservedField(U_new, boundary_flux=(F[:, 0].copy(), F[:, -1].copy())), dt
+    U_new.flags.writeable = False
+    out = ConservedField(U_new, boundary_flux=(F[:, 0].copy(), F[:, -1].copy()))
+    out.window = _grown_window(U_new, lo, hi)
+    return out, dt
 
 
 def field_from_solution(model: GasModel, grid: Grid1D, sol: PiecewiseShockSolution) -> ConservedField:
@@ -396,8 +434,10 @@ def simulate(
 
     observer(n, t, dt, field, last) is called before the first step (n = 0,
     dt = 0) and after every step n; last is true after the final step.  An
-    observer may keep field (step never modifies its input); the step's
-    interface fluxes are field.boundary_flux.  A step ends exactly at
+    observer may keep field but not modify it: step never modifies its
+    input, and every field after the first is a read-only step output that
+    carries its active window forward.  The step's interface fluxes are
+    field.boundary_flux.  A step ends exactly at
     observer.times[0] when that lies ahead.  Times within TIME_TOL t_final
     of each other count as equal, however small t_final is.  A
     NumericalError raised by a step leaves with its step number and start

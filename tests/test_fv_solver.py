@@ -218,6 +218,15 @@ class TestKernelAgreement:
         with pytest.raises(NumericalError, match="cell 7"):
             step(GAMMA2, grid, ConservedField(U), bc="periodic")
 
+    def test_cell_count_must_match_the_grid(self):
+        # An 80-cell field on a 64-cell grid would step with the wrong dx.
+        grid = Grid1D(0.0, 1.0, 64)
+        fld = ConservedField(_uniform_block(GAMMA2, 80))
+        with pytest.raises(InvalidStateError, match="field has 80 cells, the grid 64"):
+            step(GAMMA2, grid, fld)
+        with pytest.raises(InvalidStateError, match="field has 80 cells, the grid 64"):
+            simulate(GAMMA2, grid, fld, 0.1)
+
     def test_unknown_boundary_condition_rejected(self):
         grid = Grid1D(0.0, 1.0, 8)
         U = np.tile(np.array([[1.0], [0.0]]), (1, 8))
@@ -289,18 +298,27 @@ class TestNonFiniteCells:
             simulate(GAMMA2, grid, ConservedField(U), 0.1)
 
 
-class VacuumAfter:
-    """Observer: empties one cell of the field it is handed after step n (and records t there)."""
+class VacuumAtStep:
+    """Stands in for fv_solver.step: step n is handed a copy of its field with
+    one cell emptied.  t is the start time of the latest step, summed from the
+    steps' dt as simulate sums it."""
 
     def __init__(self, n, cell):
+        self.step = fv_solver.step
         self.n = n
         self.cell = cell
-        self.t = None
+        self.calls = 0
+        self.t = 0.0
 
-    def __call__(self, n, t, dt, field, last):
-        if n == self.n:
-            field.data[0, self.cell] = 0.0
-            self.t = t
+    def __call__(self, model, grid, field, **kwargs):
+        self.calls += 1
+        if self.calls == self.n:
+            data = field.data.copy()
+            data[0, self.cell] = 0.0
+            field = ConservedField(data)
+        new, dt = self.step(model, grid, field, **kwargs)
+        self.t += dt
+        return new, dt
 
 
 class TestErrorLocation:
@@ -316,13 +334,15 @@ class TestErrorLocation:
         assert (info.value.cell, info.value.step, info.value.t) == (6, 1, 0.0)
 
     @pytest.mark.parametrize("model", [GAMMA2, IDEAL], ids=["barotropic", "ideal"])
-    def test_vacuum_during_a_run_names_step_and_time(self, model):
+    def test_vacuum_during_a_run_names_step_and_time(self, model, monkeypatch):
         # The field is uniform, so the step's active window is one cell until
         # the emptied cell joins it: the cell is named on the whole grid.
+        # Step outputs are read-only, so the cell is emptied in a copy.
         grid = Grid1D(-1.0, 1.0, 40)
-        vacuum = VacuumAfter(3, 17)
+        vacuum = VacuumAtStep(4, 17)
+        monkeypatch.setattr(fv_solver, "step", vacuum)
         with pytest.raises(NumericalError) as info:
-            simulate(model, grid, ConservedField(_uniform_block(model, 40)), 0.5, observers=[vacuum])
+            simulate(model, grid, ConservedField(_uniform_block(model, 40)), 0.5)
         assert info.value.args == ("vacuum generated in cell 17",)
         assert vacuum.t > 0.0
         assert (info.value.cell, info.value.step, info.value.t) == (17, 4, vacuum.t)
@@ -415,6 +435,44 @@ class TestStepBitsMatchStackedStep:
             assert np.array_equal(new.data, old.data)
             for f_new, f_old in zip(new.boundary_flux, old.boundary_flux):
                 assert np.array_equal(f_new, f_old)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_carried_window_contains_the_searched_one(self, case):
+        # The window a step output carries, with the periodic seam check of
+        # the next step, against a search of the output's whole grid.
+        model, grid, bc, block = self.CASES[case]
+        fld = ConservedField(block(grid))
+        wrapped = False
+        for _ in range(200):
+            fld, _ = step(model, grid, fld, bc=bc)
+            lo, hi, wrap = fv_solver._active_window(fld.data, bc, fld.window)
+            exact_lo, exact_hi, exact_wrap = fv_solver._active_window(fld.data, bc)
+            assert wrap == exact_wrap
+            assert lo <= exact_lo and exact_hi <= hi
+            wrapped |= wrap
+        # periodic-uniform-seam switches to wrap once its pulse reaches the seam.
+        assert wrapped == (bc == "periodic" and case != "uniform-periodic")
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_field_without_a_window_steps_to_the_same_bits(self, case):
+        model, grid, bc, block = self.CASES[case]
+        fld = ConservedField(block(grid))
+        for _ in range(200):
+            new, dt = step(model, grid, fld, bc=bc)
+            rebuilt = ConservedField(fld.data)
+            assert rebuilt.window is None
+            searched, dt_searched = step(model, grid, rebuilt, bc=bc)
+            assert dt == dt_searched
+            assert np.array_equal(new.data.view(np.int64), searched.data.view(np.int64))
+            fld = new
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_step_output_is_read_only(self, case):
+        model, grid, bc, block = self.CASES[case]
+        fld, _ = step(model, grid, ConservedField(block(grid)), bc=bc)
+        with pytest.raises(ValueError):
+            fld.data[0, 0] = 1.0
+        assert ConservedField(block(grid)).data.flags.writeable
 
     @pytest.mark.parametrize("case, wrap", [("reference-shock", False), ("periodic-nonuniform-seam", True)])
     def test_step_leaves_its_input_unchanged(self, case, wrap):
