@@ -137,9 +137,11 @@ def pressure_from(model: GasModel, rho, eps=None):
 
 
 def sound_speed_from(model: GasModel, rho, p):
-    """c = sqrt(dp/drho at fixed specific entropy), from density and pressure."""
-    if model.kind is GasKind.BAROTROPIC_POLYTROPIC:
-        return _lib(rho).sqrt(model.K * model.gamma * rho ** (model.gamma - 1.0))
+    """c = sqrt(dp/drho at fixed specific entropy) = sqrt(gamma p / rho).
+
+    Both families share the formula: for the polytrope gamma p / rho is
+    gamma K rho**(gamma - 1), with no second power to evaluate.
+    """
     return _lib(p).sqrt(model.gamma * p / rho)
 
 

@@ -169,7 +169,14 @@ def _cell_block(model: GasModel, U: np.ndarray) -> tuple[np.ndarray, float, floa
     internal energy is not positive.
     """
     k, n = U.shape
-    u, p, c = _primitives(model, U)
+    densest = float(U[0].max())
+    if math.isfinite(densest):
+        u, p, c = _primitives(model, U)
+    else:
+        # An infinite barotropic density gives c = sqrt(inf / inf) = NaN,
+        # which the check below names; numpy need not warn of it.
+        with np.errstate(invalid="ignore"):
+            u, p, c = _primitives(model, U)
 
     cells = np.empty((2 * k + 2, n + 2))
     inner = cells[:, 1:-1]
@@ -185,7 +192,7 @@ def _cell_block(model: GasModel, U: np.ndarray) -> tuple[np.ndarray, float, floa
     # u = c = 0, so the largest density is checked as well.
     slowest = float(inner[2 * k].min())
     fastest = float(inner[2 * k + 1].max())
-    if not (math.isfinite(slowest) and math.isfinite(fastest) and math.isfinite(U[0].max())):
+    if not (math.isfinite(slowest) and math.isfinite(fastest) and math.isfinite(densest)):
         i = int(np.flatnonzero(~np.isfinite(inner).all(axis=0))[0])
         raise NumericalError(f"non-finite state in cell {i}", cell=i)
     return cells, slowest, fastest
