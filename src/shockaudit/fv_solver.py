@@ -128,12 +128,12 @@ def _active_window(U: np.ndarray, bc: str, carried: tuple[int, int] | None = Non
     ghosts are copies of the end cells, as under outflow.  A carried window
     (ConservedField.window) is taken as it is instead of searching the grid.
     """
-    bits = U.view(np.int64)
-    n = bits.shape[1]
-    if bc == "periodic" and (bits[:, 0] != bits[:, -1]).any():
+    n = U.shape[1]
+    if bc == "periodic" and U[:, 0].tobytes() != U[:, -1].tobytes():
         return 0, n, True
     if carried is not None:
         return (*carried, False)
+    bits = U.view(np.int64)
     differs = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
     first = int(differs.argmax())
     if not differs[first]:
@@ -152,10 +152,9 @@ def _grown_window(U: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
     window steps to the same bits, since a cell whose neighbours hold its
     own bits sees two identical interface fluxes and gets dU = 0 exactly.
     """
-    bits = U.view(np.int64)
-    if lo > 0 and bits[:, lo - 1].tolist() != bits[:, lo].tolist():
+    if lo > 0 and U[:, lo - 1].tobytes() != U[:, lo].tobytes():
         lo -= 1
-    if hi < bits.shape[1] and bits[:, hi].tolist() != bits[:, hi - 1].tolist():
+    if hi < U.shape[1] and U[:, hi].tobytes() != U[:, hi - 1].tobytes():
         hi += 1
     return lo, hi
 
@@ -444,11 +443,10 @@ def simulate(
     observer may keep field but not modify it: step never modifies its
     input, and every field after the first is a read-only step output that
     carries its active window forward.  The step's interface fluxes are
-    field.boundary_flux.  A step ends exactly at
-    observer.times[0] when that lies ahead.  Times within TIME_TOL t_final
-    of each other count as equal, however small t_final is.  A
-    NumericalError raised by a step leaves with its step number and start
-    time set (NumericalError.step, .t).
+    field.boundary_flux.  A step ends exactly at observer.times[0] when that
+    lies ahead.  Times within TIME_TOL t_final of each other count as equal,
+    however small t_final is.  A NumericalError raised by a step leaves with
+    its step number and start time set (NumericalError.step, .t).
 
     The drift per component is |total(t) - total(0) + accumulated boundary
     flux|, normalized by max(|total(0)|, 1); it stays at roundoff for any
