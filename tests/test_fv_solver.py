@@ -467,6 +467,8 @@ class TestStepBitsMatchStackedStep:
             searched, dt_searched = step(model, grid, rebuilt, bc=bc)
             assert dt == dt_searched
             assert np.array_equal(new.data.view(np.int64), searched.data.view(np.int64))
+            for f_new, f_searched in zip(new.boundary_flux, searched.boundary_flux):
+                assert np.array_equal(f_new.view(np.int64), f_searched.view(np.int64))
             fld = new
 
     @pytest.mark.parametrize("case, wrap", [("reference-shock", False), ("periodic-nonuniform-seam", True)])
