@@ -8,7 +8,9 @@ checked once by config.validate_config.
 
 Only fv-run and weak-verify import numpy and the two array oracles
 (`fv_solver`, `weakcheck`), inside their task functions: the closed-form
-tasks never load them.
+tasks never load them.  Neither array task loads numpy's random module: the
+weak-verify battery draws numpy's default_rng(seed) stream through a
+pure-Python copy in `weakcheck`, so each seed gives the same bumps.
 
 The two array tasks also raise glibc's malloc thresholds, once per process
 (`_keep_freed_heap`): M_MMAP_THRESHOLD to 32 MiB and M_TRIM_THRESHOLD to

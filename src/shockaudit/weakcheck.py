@@ -21,6 +21,75 @@ from .shock1d import PiecewiseShockSolution, evaluate
 
 COMPONENTS = ("mass", "momentum", "energy")
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _UniformStream:
+    """The random()/uniform() draws of numpy's default_rng(seed), in pure Python.
+
+    numpy's SeedSequence hashes the seed's 32-bit words into a pool of four
+    and expands it into the 128-bit state and increment of a PCG64 (PCG
+    XSL-RR 128/64) generator; a double is the top 53 bits of one output.
+    The same stream, bit for bit, without loading numpy's random module
+    (about 6 MiB per process) for a few dozen scalar draws.
+    """
+
+    def __init__(self, seed):
+        seed = int(seed)
+        words = [seed & _MASK32]
+        while seed >> 32:
+            seed >>= 32
+            words.append(seed & _MASK32)
+        hash_const = 0x43B0D7E5
+
+        def hashmix(value):
+            nonlocal hash_const
+            value ^= hash_const
+            hash_const = hash_const * 0x931E8875 & _MASK32
+            value = value * hash_const & _MASK32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+            return r ^ r >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # generate_state(4, uint64): eight 32-bit words, little end first.
+        hash_const, state = 0x8B51F9DD, 0
+        for i in range(8):
+            value = pool[i % 4] ^ hash_const
+            hash_const = hash_const * 0x58F38DED & _MASK32
+            value = value * hash_const & _MASK32
+            state |= (value ^ value >> 16) << (32 * i)
+        words64 = [state >> (64 * k) & _MASK64 for k in range(4)]
+        initstate, initseq = words64[0] << 64 | words64[1], words64[2] << 64 | words64[3]
+        # pcg_setseq_128_srandom_r: step from 0, add initstate, step again.
+        self._inc = (initseq << 1 | 1) & _MASK128
+        self._state = ((self._inc + initstate) * _PCG_MULT + self._inc) & _MASK128
+
+    def random(self) -> float:
+        self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        s = self._state
+        word, rot = (s >> 64 ^ s) & _MASK64, s >> 122
+        word = (word >> rot | word << (-rot & 63)) & _MASK64
+        return (word >> 11) * 2.0**-53
+
+    def uniform(self, low: float, high: float) -> float:
+        span = high - low
+        if not math.isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        return low + span * self.random()
+
 
 def _mollifier(xi):
     """(m, m') of m(xi) = exp(1 - 1/(1 - xi^2)) on |xi| < 1, both identically zero outside.
@@ -227,20 +296,36 @@ def weak_residuals(
 def standard_battery(
     sol: PiecewiseShockSolution, count: int = 20, seed: int = 0
 ) -> list[BumpTestFunction]:
-    """Deterministic battery of bumps: half straddling shocks, half in the bulk."""
+    """Deterministic battery of bumps: half straddling shocks, half in the bulk.
+
+    The draws are those of numpy's default_rng(seed), so every seed gives
+    the bumps it always gave.  A horizon too short for a drawn time support,
+    or a domain that no interval stays inside over it, is a DomainError.
+    """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidStateError(f"battery seed must be a non-negative integer, got {seed!r}")
-    rng = np.random.default_rng(seed)
+    rng = _UniformStream(seed)
     t_lo = max(sol.horizon[0], 0.0)
     t_hi = min(sol.horizon[1], 0.5)
     bumps = []
     n_shocks = max(len(sol.shock_speeds), 1)
     for j in range(count):
         rt = 0.06 + 0.06 * rng.random()
-        tc = rng.uniform(t_lo + rt * 1.05, t_hi - rt * 1.05)
+        lo, hi = t_lo + rt * 1.05, t_hi - rt * 1.05
+        if hi < lo:
+            raise DomainError(
+                f"validity horizon [{t_lo}, {t_hi}] is shorter than a bump time support"
+                f" of {2.1 * rt} (margins included)"
+            )
+        tc = rng.uniform(lo, hi)
         # The domain at both time edges of the box, so a material domain holds it too.
         (a0, b0), (a1, b1) = sol.endpoints(tc - rt), sol.endpoints(tc + rt)
         a, b = max(a0, a1), min(b0, b1)
+        if not a < b:
+            raise DomainError(
+                "no interval stays inside the solution domain over the bump time support"
+                f" [{tc - rt}, {tc + rt}]"
+            )
         if j % 2 == 0 and sol.shock_speeds:
             i = (j // 2) % n_shocks
             xc = sol.shock_position(i, tc) + rng.uniform(-0.02, 0.02)

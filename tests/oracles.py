@@ -9,7 +9,9 @@ The CSV writer is the exception: it keeps the package's float rendering
 artifact contract it checks the column writer against.  So is the stacked
 HLL step: it is the package's earlier `fv_solver.step` kept verbatim, with
 the package's EOS closures and flux, as the bit-for-bit reference for the
-in-place step.
+in-place step.  So is the numpy bump battery: the package's earlier
+`weakcheck.standard_battery`, drawing from numpy.random, kept verbatim as
+the reference for the pure-Python stream that replaced it.
 """
 
 import math
@@ -20,6 +22,7 @@ from shockaudit.config import format_float
 from shockaudit.eos import physical_flux, pressure_from, sound_speed_from
 from shockaudit.errors import InvalidStateError, NumericalError
 from shockaudit.fv_solver import ConservedField
+from shockaudit.weakcheck import BumpTestFunction
 
 
 def baro_pressure(K, gamma, rho):
@@ -354,3 +357,30 @@ def stacked_hll_step(model, grid, field, cfl=0.45, bc="outflow", dt_max=np.inf):
     U_new = U - dt / grid.dx * (F[:, 1:] - F[:, :-1])
     _stacked_check_positivity(U_new)
     return ConservedField(U_new, boundary_flux=(F[:, 0].copy(), F[:, -1].copy())), dt
+
+
+def numpy_battery(sol, count=20, seed=0):
+    """Deterministic battery of bumps: half straddling shocks, half in the bulk."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidStateError(f"battery seed must be a non-negative integer, got {seed!r}")
+    rng = np.random.default_rng(seed)
+    t_lo = max(sol.horizon[0], 0.0)
+    t_hi = min(sol.horizon[1], 0.5)
+    bumps = []
+    n_shocks = max(len(sol.shock_speeds), 1)
+    for j in range(count):
+        rt = 0.06 + 0.06 * rng.random()
+        tc = rng.uniform(t_lo + rt * 1.05, t_hi - rt * 1.05)
+        # The domain at both time edges of the box, so a material domain holds it too.
+        (a0, b0), (a1, b1) = sol.endpoints(tc - rt), sol.endpoints(tc + rt)
+        a, b = max(a0, a1), min(b0, b1)
+        if j % 2 == 0 and sol.shock_speeds:
+            i = (j // 2) % n_shocks
+            xc = sol.shock_position(i, tc) + rng.uniform(-0.02, 0.02)
+            rx = 0.1 + 0.15 * rng.random()
+        else:
+            xc = rng.uniform(a + 0.35 * (b - a), a + 0.65 * (b - a))
+            rx = 0.08 + 0.1 * rng.random()
+        rx = min(rx, 0.95 * (xc - a), 0.95 * (b - xc))
+        bumps.append(BumpTestFunction(t0=tc, x0=xc, rt=rt, rx=rx))
+    return bumps

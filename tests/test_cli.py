@@ -878,7 +878,8 @@ class TestRepeatedMain:
 
 # Runs each argv list of sys.argv[1] (JSON) through cli.main in this fresh
 # interpreter and prints the exit statuses and which array modules got loaded
-# (ctypes included: only the array tasks set the heap thresholds through it).
+# (ctypes included: only the array tasks set the heap thresholds through it;
+# numpy.random too: no task draws from it).
 _FRESH_MAIN = """
 import contextlib, io, json, sys
 from shockaudit import cli
@@ -886,7 +887,7 @@ statuses = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         statuses.append(cli.main(argv))
-array_modules = ("numpy", "shockaudit.fv_solver", "shockaudit.weakcheck", "ctypes")
+array_modules = ("numpy", "numpy.random", "shockaudit.fv_solver", "shockaudit.weakcheck", "ctypes")
 print(json.dumps({"statuses": statuses, "loaded": [m for m in array_modules if m in sys.modules]}))
 """
 
@@ -928,7 +929,11 @@ class TestLazyImports:
             ["--config", write_config(tmp_path, fv, "fv.json"), "--out-dir", out],
             ["--config", write_config(tmp_path, weak, "weak.json"), "--out-dir", out],
         ]
-        assert _fresh_main(argvs)["statuses"] == [0, 0]
+        # The weak-verify battery draws numpy's default_rng(seed) stream in
+        # pure Python, so neither array task pays for numpy.random.
+        result = _fresh_main(argvs)
+        assert result["statuses"] == [0, 0]
+        assert "numpy" in result["loaded"] and "numpy.random" not in result["loaded"]
 
     def test_every_exported_name_resolves(self):
         for name in shockaudit.__all__:
@@ -1144,6 +1149,23 @@ class TestWeakVerify:
         assert main(["--config", write_config(tmp_path, cfg)]) == 3
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["kind"] == "validation"
+
+    def test_short_horizon_battery_is_numerical_error(self, tmp_path, capsys):
+        # The second shock overtakes the first at t ~ 0.082, before any drawn
+        # bump's time support fits; this used to escape as a ValueError
+        # traceback with exit 1, which reads as a failed audit.
+        cfg = self.base_config(
+            tmp_path, [{"rho": 1.0, "u": 2.0}, {"rho": 2.0, "u": 1.0}, {"rho": 4.0, "u": -0.41421356237309515}]
+        )
+        cfg["solution"]["shock_positions"] = [-0.1, 0.05]
+        cfg["solution"]["shock_speeds"] = [0.0, -1.8284271247461903]
+        cfg["task"] = {"name": "weak-verify", "count": 4, "seed": 0}
+        del cfg["tolerances"]
+        assert main(["--config", write_config(tmp_path, cfg)]) == 4
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["kind"] == "numerical"
+        assert "validity horizon" in record["error"]["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_overflow_is_numerical_error(self, tmp_path, capsys):
         # u = 1e200 is finite, but u**2 overflows a double inside the

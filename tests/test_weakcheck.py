@@ -4,7 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import baro_laws, bump_value, graded_gauss, loop_weak_residual, mollifier, mollifier_prime
+from oracles import (
+    baro_laws,
+    bump_value,
+    graded_gauss,
+    loop_weak_residual,
+    mollifier,
+    mollifier_prime,
+    numpy_battery,
+)
 
 import shockaudit.weakcheck as weakcheck
 from shockaudit.eos import FluidState, GasModel
@@ -15,6 +23,7 @@ from shockaudit.weakcheck import (
     BumpTestFunction,
     SpacetimeQuadrature,
     _mollifier,
+    _UniformStream,
     mass_integral,
     moving_domain_mass_rate,
     standard_battery,
@@ -471,7 +480,116 @@ class TestQuadratureGuards:
             weak_residuals(sol, ("momentum",), BumpTestFunction(0.25, 0.0, 0.1, 0.2))
 
 
+STREAM_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3, 2**96 + 5, 2**128 + 99, 2**200 + 12345,
+                np.uint64(2**64 - 1), np.uint64(5), np.int64(0), np.int64(2**63 - 1)]
+
+
+def _interleaved_draws(rng, n=40):
+    """random() and uniform() alternately, the uniform spans of growing width."""
+    out = []
+    for k in range(n):
+        if k % 3 == 0:
+            out.append(rng.random())
+        else:
+            low = 0.1 * k - 1.3
+            out.append(rng.uniform(low, low + 0.37 * k))
+    return out
+
+
+class TestUniformStream:
+    """The pure-Python battery stream against numpy's default_rng(seed), bit for bit."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=[repr(s) for s in STREAM_SEEDS])
+    def test_bit_equal_to_numpy_default_rng(self, seed):
+        got = _interleaved_draws(_UniformStream(seed))
+        ref = _interleaved_draws(np.random.default_rng(seed))
+        assert [type(v) for v in got] == [float] * len(got)
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+    def test_pinned_first_draws(self):
+        # Literal values, so the battery stays fixed even if numpy's
+        # Generator stream changes in a later release.
+        pinned = {
+            0: (0.6369616873214543, 0.2697867137638703, -0.018361059042552214),
+            3: (0.08564916714362436, 0.2368105065960997, 0.012050978608255877),
+            2**64 + 3: (0.7243886900316061, 0.4103625418095803, 0.00026187540934061865),
+        }
+        for seed, expected in pinned.items():
+            rng = _UniformStream(seed)
+            assert (rng.random(), rng.random(), rng.uniform(-0.02, 0.02)) == expected
+
+    @pytest.mark.parametrize("low,high", [(-1e308, 1e308), (0.0, math.inf), (math.nan, 1.0)])
+    def test_non_finite_span_is_numpy_overflow_error(self, low, high):
+        with pytest.raises(OverflowError) as ref:
+            np.random.default_rng(0).uniform(low, high)
+        with pytest.raises(OverflowError) as got:
+            _UniformStream(0).uniform(low, high)
+        assert str(got.value) == str(ref.value) == "high - low range exceeds valid bounds"
+
+    def test_property_bit_equal_over_seeds(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(seed=st.integers(min_value=0, max_value=2**160), n=st.integers(1, 12))
+        def check(seed, n):
+            assert _interleaved_draws(_UniformStream(seed), n) == _interleaved_draws(np.random.default_rng(seed), n)
+
+        check()
+
+
+def two_shock_solution():
+    # Diverging shocks: a horizon from the past to infinity, so every bump fits.
+    sol = stationary_shock_example(2.0)
+    return PiecewiseShockSolution(
+        model=sol.model,
+        states=(FluidState(1.0, 2.0), FluidState(2.0, 1.0), FluidState(1.5, 0.5)),
+        shock_positions_t0=(-0.3, 0.2),
+        shock_speeds=(0.0, 0.4),
+        domain=Domain1D(-1.0, 1.5),
+        validate=False,
+    )
+
+
 class TestStandardBattery:
+    @pytest.mark.parametrize("kind", ["fixed", "material", "two-shock"])
+    def test_equal_to_numpy_battery(self, kind):
+        sol = two_shock_solution() if kind == "two-shock" else stationary_shock_example(2.0, kind)
+        for seed in (0, 1, 5, 2**40 + 1, np.int64(9)):
+            assert standard_battery(sol, count=20, seed=seed) == numpy_battery(sol, count=20, seed=seed)
+
+    def test_short_horizon_is_domain_error(self):
+        # Two shocks that collide at t ~ 0.082, shorter than any drawn time
+        # support (at least 2.1 * 0.06); numpy's uniform raised a bare
+        # ValueError here.
+        sol = PiecewiseShockSolution(
+            model=GasModel.barotropic(K=2.0 / 3.0, gamma=2.0),
+            states=(FluidState(1.0, 2.0), FluidState(2.0, 1.0), FluidState(4.0, -0.41421356237309515)),
+            shock_positions_t0=(-0.1, 0.05),
+            shock_speeds=(0.0, -1.8284271247461903),
+        )
+        with pytest.raises(DomainError, match="validity horizon"):
+            standard_battery(sol, count=4, seed=0)
+        with pytest.raises(ValueError):
+            numpy_battery(sol, count=4, seed=0)
+
+    def test_collapsed_material_domain_is_domain_error(self):
+        # Material endpoints move at 2 and 1, so over a long enough time
+        # support no interval stays inside the domain; with seed 3 the first
+        # bump fits and the second, a bulk bump, does not.
+        sol = PiecewiseShockSolution(
+            model=GasModel.barotropic(K=2.0 / 3.0, gamma=2.0),
+            states=(FluidState(1.0, 2.0), FluidState(2.0, 1.0)),
+            shock_positions_t0=(0.0,),
+            shock_speeds=(1.5,),
+            domain=Domain1D(-0.2, 0.2, "material"),
+            validate=False,
+        )
+        with pytest.raises(DomainError, match="stays inside the solution domain"):
+            standard_battery(sol, count=4, seed=3)
+        with pytest.raises(ValueError):
+            numpy_battery(sol, count=4, seed=3)
+
     def test_deterministic_given_seed(self):
         sol = stationary_shock_example(2.0)
         a = standard_battery(sol, count=20, seed=3)
