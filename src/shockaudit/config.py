@@ -12,8 +12,8 @@ import sys
 from dataclasses import dataclass
 
 from .eos import FluidState, GasKind, GasModel
-from .errors import ConfigError, ConfigParseError
-from .rh import RESIDUAL_TOL, ShockJump
+from .errors import ConfigError, ConfigParseError, InvalidStateError
+from .rh import RESIDUAL_TOL, ShockJump, gated_residual, rh_residuals
 from .shock1d import Domain1D, PiecewiseShockSolution
 
 TOLERANCE_DEFAULTS = {
@@ -204,7 +204,7 @@ def solution_to_dict(sol: PiecewiseShockSolution) -> dict:
     }
 
 
-def solution_from_dict(model: GasModel, block: dict, rh_tol: float = RESIDUAL_TOL) -> PiecewiseShockSolution:
+def solution_from_dict(model: GasModel, block: dict) -> PiecewiseShockSolution:
     _check_keys(
         block,
         {"states", "shock_positions", "shock_speeds", "domain"},
@@ -227,7 +227,6 @@ def solution_from_dict(model: GasModel, block: dict, rh_tol: float = RESIDUAL_TO
         shock_positions_t0=_reals(block, "shock_positions", "solution"),
         shock_speeds=_reals(block, "shock_speeds", "solution"),
         domain=domain,
-        rh_tol=rh_tol,
     )
 
 
@@ -299,7 +298,12 @@ def validate_config(raw: dict) -> RunConfig:
     if "solution" in raw:
         if model is None:
             raise ConfigError("a solution block needs a model block")
-        solution = solution_from_dict(model, raw["solution"], rh_tol=tolerances["residual"])
+        solution = solution_from_dict(model, raw["solution"])
+        # The one jump gate: a claim that breaks the jump conditions never reaches a task.
+        for i, jump in enumerate(solution.jumps()):
+            bad = gated_residual(rh_residuals(jump, model), model)
+            if not bad <= tolerances["residual"]:  # NaN fails too
+                raise InvalidStateError(f"shock {i} violates the jump conditions (residual {bad:.3e})")
 
     needs_model = {"rh-solve", "fv-run", "weak-verify"}
     if name in needs_model and model is None:

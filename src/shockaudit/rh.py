@@ -35,8 +35,8 @@ from .errors import (
     NumericalError,
 )
 
-#: Absolute residual level accepted as "satisfies the jump conditions"
-#: (the default of every jump gate: config tolerance, solution validation).
+#: Absolute residual level accepted as "satisfies the jump conditions": the default
+#: of `tolerances.residual` (the config's jump gate, the rh-solve and shock-example audits).
 RESIDUAL_TOL = 1e-10
 #: Slack allowed when testing the entropy/dissipation inequality.
 ADMISSIBILITY_TOL = 1e-12

@@ -299,8 +299,8 @@ def standard_battery(
     """Deterministic battery of bumps: half straddling shocks, half in the bulk.
 
     The draws are those of numpy's default_rng(seed), so every seed gives
-    the bumps it always gave.  A horizon too short for a drawn time support,
-    or a domain that no interval stays inside over it, is a DomainError.
+    the bumps it always gave.  A bump that cannot fit inside the validity
+    horizon and the domain over its time support is a DomainError.
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidStateError(f"battery seed must be a non-negative integer, got {seed!r}")
@@ -329,6 +329,9 @@ def standard_battery(
         if j % 2 == 0 and sol.shock_speeds:
             i = (j // 2) % n_shocks
             xc = sol.shock_position(i, tc) + rng.uniform(-0.02, 0.02)
+            if not a < xc < b:
+                raise DomainError(f"shock {i} bump centre {xc} lies outside ({a}, {b}), the interval that"
+                                  f" stays inside the domain over the time support [{tc - rt}, {tc + rt}]")
             rx = 0.1 + 0.15 * rng.random()
         else:
             xc = rng.uniform(a + 0.35 * (b - a), a + 0.65 * (b - a))

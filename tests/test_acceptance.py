@@ -182,7 +182,6 @@ def test_criterion_8_weak_form_battery():
         shock_positions_t0=(0.0,),
         shock_speeds=(0.0,),
         domain=sol.domain,
-        validate=False,
     )
     detected = abs(weak_residuals(perturbed, ("mass",), BumpTestFunction(0.25, 0.0, 0.15, 0.3))[0])
     elapsed = time.monotonic() - t0
@@ -207,7 +206,6 @@ def test_criterion_9_equivalence_and_mass_rate():
                 shock_positions_t0=sol.shock_positions_t0,
                 shock_speeds=sol.shock_speeds,
                 domain=sol.domain,
-                validate=False,
             )
         res = rh_residuals(sol.jumps()[0], sol.model)
         bumps = standard_battery(sol, count=4, seed=int(rng.integers(0, 10000)))

@@ -243,6 +243,41 @@ class TestConfigErrors:
             validate_config(doc)
 
 
+class TestJumpGate:
+    """A claimed solution that breaks the jump conditions stops at the config, in every task."""
+
+    RECORD = (
+        "{\n"
+        '  "error": {\n'
+        '    "kind": "validation",\n'
+        '    "message": "shock 0 violates the jump conditions (residual 1.380e+00)",\n'
+        '    "status": 3\n'
+        "  }\n"
+        "}\n"
+    )
+
+    @pytest.mark.parametrize(
+        "task",
+        [
+            {"name": "energy-audit"},
+            {"name": "weak-verify"},
+            {"name": "fv-run", "n_cells": 400, "t_final": 0.25, "snapshots": 3},
+        ],
+        ids=lambda task: task["name"],
+    )
+    def test_refusal_bytes(self, tmp_path, capsys, task):
+        # The README's reference claim with u_R = 1.3: momentum is off by 1.38.
+        cfg = _baro_stationary_shock()
+        cfg["solution"]["states"][1]["u"] = 1.3
+        cfg["task"] = task
+        cfg["output"] = {"dir": str(tmp_path / "out")}
+        assert main(["--config", write_config(tmp_path, cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == self.RECORD
+        assert not (tmp_path / "out").exists()
+
+
 class TestBadArgv:
     """Bad command lines end as a returned status and one JSON record, never SystemExit."""
 
@@ -1167,9 +1202,39 @@ class TestWeakVerify:
         assert "validity horizon" in record["error"]["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shock_outside_material_interval_is_numerical_error(self, tmp_path, capsys, seed):
+        # The exact gamma = 2 shock from rest leaves the narrow material box
+        # [-0.2, 0.2] at speed -2.45.  Seeds 0, 2 and 3 draw a shock bump
+        # whose centre lies outside the interval that stays inside the domain
+        # (once a validation error, "bump radii must be positive"); seeds 1
+        # and 4 find no such interval at all.
+        model = GasModel.barotropic(K=1.0, gamma=2.0)
+        jump = hugoniot_solve(FluidState(1.0, 0.0), 2.0, model)
+        cfg = {
+            "model": model_to_dict(model),
+            "solution": {
+                "states": [{"rho": 1.0, "u": 0.0}, {"rho": 2.0, "u": jump.right.u}],
+                "shock_positions": [0.0],
+                "shock_speeds": [jump.v_s],
+                "domain": {"x_min": -0.2, "x_max": 0.2, "motion": "material"},
+            },
+            "task": {"name": "weak-verify", "count": 4, "seed": seed},
+            "output": {"dir": str(tmp_path / "out")},
+        }
+        assert main(["--config", write_config(tmp_path, cfg)]) == 4
+        record = json.loads(capsys.readouterr().err)["error"]
+        assert record["kind"] == "numerical"
+        if seed in (0, 2, 3):
+            assert record["message"].startswith("shock 0 bump centre")
+            assert "lies outside (-0.2, " in record["message"]
+        else:
+            assert record["message"].startswith("no interval stays inside")
+        assert not (tmp_path / "out").exists()
+
     def test_overflow_is_numerical_error(self, tmp_path, capsys):
         # u = 1e200 is finite, but u**2 overflows a double inside the
-        # jump-condition check; that is a numerical failure, not a traceback.
+        # config's jump gate; that is a numerical failure, not a traceback.
         cfg = self.base_config(tmp_path, [{"rho": 1.0, "u": 1e200}, {"rho": 2.0, "u": 1e200}])
         assert main(["--config", write_config(tmp_path, cfg)]) == 4
         record = json.loads(capsys.readouterr().err)

@@ -362,14 +362,13 @@ def _supersonic_left_block(n):
 
 
 def _plateau_block(model, grid, states, positions):
-    """field_from_solution of constant states split at the given positions (no jump check)."""
+    """field_from_solution of constant states split at the given positions."""
     sol = PiecewiseShockSolution(
         model=model,
         states=states,
         shock_positions_t0=positions,
         shock_speeds=(0.0,) * len(positions),
         domain=Domain1D(grid.x_min, grid.x_max),
-        validate=False,
     )
     return field_from_solution(model, grid, sol).data
 

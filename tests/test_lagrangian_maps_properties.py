@@ -12,11 +12,6 @@ from shockaudit.shock1d import Domain1D, PiecewiseShockSolution
 
 
 def two_state_solution(K, gamma, left, right, v_s):
-    # validate=False: the jump gate is an absolute residual bound, so
-    # scaling an exact root by 2**10 can push its roundoff residual past the
-    # gate.  That gate is a separate defect, tracked in ROADMAP.md under
-    # scale-invariant verdicts; the scaled jump is the same jump in another
-    # velocity unit.
     span = 4.0 + 2.0 * abs(v_s)
     return PiecewiseShockSolution(
         model=GasModel.barotropic(K=K, gamma=gamma),
@@ -24,7 +19,6 @@ def two_state_solution(K, gamma, left, right, v_s):
         shock_positions_t0=(0.0,),
         shock_speeds=(v_s,),
         domain=Domain1D(-span, span),
-        validate=False,
     )
 
 

@@ -39,7 +39,6 @@ def perturbed_example(du=0.1):
         shock_positions_t0=(0.0,),
         shock_speeds=(0.0,),
         domain=sol.domain,
-        validate=False,
     )
 
 
@@ -175,7 +174,6 @@ class TestWeakResidual:
                 shock_positions_t0=mov.shock_positions_t0,
                 shock_speeds=mov.shock_speeds,
                 domain=mov.domain,
-                validate=False,
             )
 
         for _ in range(10):
@@ -228,7 +226,6 @@ def moving_barotropic():
         shock_positions_t0=(0.0,),
         shock_speeds=(jump.v_s,),
         domain=Domain1D(-2.5, 1.5),
-        validate=False,
     )
 
 
@@ -239,7 +236,6 @@ def two_shock():
         shock_positions_t0=(-0.15, 0.2),
         shock_speeds=(-0.6, 0.9),
         domain=Domain1D(-2.0, 2.0),
-        validate=False,
     )
 
 
@@ -251,7 +247,6 @@ def fixed_and_moving():
         shock_positions_t0=(-0.1, 0.05),
         shock_speeds=(0.0, 0.7),
         domain=Domain1D(-2.0, 2.0),
-        validate=False,
     )
 
 
@@ -262,7 +257,6 @@ def material_domain():
         shock_positions_t0=(0.0,),
         shock_speeds=(0.0,),
         domain=Domain1D(-1.0, 1.0, "material"),
-        validate=False,
     )
 
 
@@ -399,7 +393,6 @@ class TestSharedEvaluation:
             states=(state, state),
             shock_positions_t0=(0.0,),
             shock_speeds=(0.0,),
-            validate=False,
         )
         bump = BumpTestFunction(0.25, 0.0, 0.1, 0.2)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -474,7 +467,6 @@ class TestQuadratureGuards:
             states=(state, state),
             shock_positions_t0=(0.0,),
             shock_speeds=(0.0,),
-            validate=False,
         )
         with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
             weak_residuals(sol, ("momentum",), BumpTestFunction(0.25, 0.0, 0.1, 0.2))
@@ -547,7 +539,6 @@ def two_shock_solution():
         shock_positions_t0=(-0.3, 0.2),
         shock_speeds=(0.0, 0.4),
         domain=Domain1D(-1.0, 1.5),
-        validate=False,
     )
 
 
@@ -573,22 +564,36 @@ class TestStandardBattery:
         with pytest.raises(ValueError):
             numpy_battery(sol, count=4, seed=0)
 
-    def test_collapsed_material_domain_is_domain_error(self):
-        # Material endpoints move at 2 and 1, so over a long enough time
-        # support no interval stays inside the domain; with seed 3 the first
-        # bump fits and the second, a bulk bump, does not.
-        sol = PiecewiseShockSolution(
+    @staticmethod
+    def narrow_material_domain():
+        return PiecewiseShockSolution(
             model=GasModel.barotropic(K=2.0 / 3.0, gamma=2.0),
             states=(FluidState(1.0, 2.0), FluidState(2.0, 1.0)),
             shock_positions_t0=(0.0,),
             shock_speeds=(1.5,),
             domain=Domain1D(-0.2, 0.2, "material"),
-            validate=False,
         )
+
+    def test_collapsed_material_domain_is_domain_error(self):
+        # Material endpoints move at 2 and 1, so over a long enough time
+        # support no interval stays inside the domain; with seed 3 the first
+        # bump fits and the second, a bulk bump, does not.
+        sol = self.narrow_material_domain()
         with pytest.raises(DomainError, match="stays inside the solution domain"):
             standard_battery(sol, count=4, seed=3)
         with pytest.raises(ValueError):
             numpy_battery(sol, count=4, seed=3)
+
+    @pytest.mark.parametrize("seed", [22, 44])
+    def test_shock_outside_material_interval_is_domain_error(self, seed):
+        # The shock (speed 1.5) outruns the right endpoint (speed 1), so a
+        # shock bump is centred outside the interval that stays inside the
+        # domain; its radius would come out negative.
+        sol = self.narrow_material_domain()
+        with pytest.raises(DomainError, match="shock 0 bump centre"):
+            standard_battery(sol, count=4, seed=seed)
+        with pytest.raises(InvalidStateError, match="bump radii must be positive"):
+            numpy_battery(sol, count=4, seed=seed)
 
     def test_deterministic_given_seed(self):
         sol = stationary_shock_example(2.0)
@@ -676,7 +681,6 @@ class TestEquivalence:
                 shock_positions_t0=(0.0,),
                 shock_speeds=(v_s,),
                 domain=Domain1D(-span, span),
-                validate=False,
             )
             res = rh_residuals(sol.jumps()[0], model)
             bumps = standard_battery(sol, count=6, seed=int(rng.integers(0, 1000)))
