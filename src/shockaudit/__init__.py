@@ -18,16 +18,11 @@ from .shock1d import (
     PiecewiseShockSolution,
     energy_rate,
     evaluate,
-    length_rate,
+    potential_rate,
     stationary_shock_example,
     volume_potential_mismatch,
 )
-from .lagrangian_maps import (
-    FlowMap1D,
-    augmented_energy_rate,
-    calibrate_lambda,
-    calibrated_flow_map,
-)
+from .lagrangian_maps import augmented_energy_rate, calibrate_lambda
 
 __version__ = "0.1.0"
 
@@ -56,13 +51,11 @@ __all__ = [
     "PiecewiseShockSolution",
     "energy_rate",
     "evaluate",
-    "length_rate",
+    "potential_rate",
     "stationary_shock_example",
     "volume_potential_mismatch",
-    "FlowMap1D",
     "augmented_energy_rate",
     "calibrate_lambda",
-    "calibrated_flow_map",
     "BumpTestFunction",
     "SpacetimeQuadrature",
     "weak_residuals",

@@ -25,7 +25,8 @@ mallopt (macOS, Windows) nothing is changed.
 Exit status: 0 all configured audits passed, 1 an audit failed, 2 the
 configuration or the command line could not be parsed, 3 it failed
 validation (an unusable output.dir included), 4 a numerical procedure
-failed.  Set SHOCKAUDIT_LOG (debug/info/warning) to control log verbosity.
+failed (an array size too large to allocate included).  Set SHOCKAUDIT_LOG
+(debug/info/warning) to control log verbosity.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import (
     InvalidStateError,
     ShockAuditError,
 )
-from .lagrangian_maps import augmented_energy_rate, calibrated_flow_map
+from .lagrangian_maps import augmented_energy_rate, calibrate_lambda
 from .rh import gated_residual, hugoniot_solve, rh_residuals
 from .shock1d import stationary_shock_example, volume_potential_mismatch
 
@@ -246,9 +247,8 @@ def _run_energy_audit(cfg: RunConfig):
     else:
         sol = stationary_shock_example(float(cfg.task["gamma"]))
     dedt, neg_dvdt, gap = volume_potential_mismatch(sol)
-    fmap = calibrated_flow_map(sol)
-    lam_l, lam_r = fmap.reference_densities
-    aug = augmented_energy_rate(sol, fmap)
+    lam_l, lam_r = calibrate_lambda(sol)
+    aug = augmented_energy_rate(sol, (lam_l, lam_r))
     tol = cfg.tolerances["augmented"]
     summary = {
         "task": "energy-audit",
@@ -451,6 +451,10 @@ def main(argv=None) -> int:
         # Scalar float arithmetic (u**2, exp) past the double range.
         message = f"floating-point overflow: {exc}"
         sys.stderr.write(_error_record(EXIT_NUMERICAL, "numerical", message))
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        # An array size (n_cells, snapshots, order, panels) the machine cannot allocate.
+        sys.stderr.write(_error_record(EXIT_NUMERICAL, "numerical", f"out of memory: {exc}"))
         return EXIT_NUMERICAL
 
 

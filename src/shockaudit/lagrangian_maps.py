@@ -1,14 +1,12 @@
-"""Lagrangian flow maps, constant one-sided reference densities, and the
-shock dissipation potential.
+"""The shock dissipation potential, held as its constant reference densities.
 
 Each constant-state region carries the affine flow map phi(t, X) = X + u t
 (unit Jacobian) and one constant reference density lambda_i, so the
 transported field lambda(t, x) is lambda_i on region i.  The dissipation
 potential V is defined by -V(t) = sum of lambda_i times the reference length
-of the labels currently occupying region i; its rate decomposes into
-per-shock interface terms -v_s [[lambda]] + [[lambda u]] . n plus endpoint
-terms that vanish when the domain endpoints move with the fluid.  With
-constant densities that rate does not depend on t.
+of the labels currently occupying region i.  The potential is therefore its
+lambda tuple, one value per region: shock1d.potential_rate turns that tuple
+into the rate of -V, which does not depend on t.
 
 calibrate_lambda fixes the two one-sided constants that close energy-audit's
 augmented energy budget.  A non-constant Lambda(X) comes back only with a
@@ -17,47 +15,10 @@ check that reads one, such as the action-variation oracle in ROADMAP.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .eos import balance_terms
 from .errors import CalibrationError, InvalidStateError
 from .rh import jump_residual
-from .shock1d import PiecewiseShockSolution, energy_rate
-
-
-@dataclass(frozen=True)
-class FlowMap1D:
-    """Per-region affine flow maps plus constant reference densities for one solution.
-
-    reference_densities holds one constant per region.  The default
-    lambda = 1 makes the potential the plain occupied reference volume.
-    """
-
-    solution: PiecewiseShockSolution
-    reference_densities: tuple = ()
-
-    def __post_init__(self):
-        n_regions = len(self.solution.states)
-        dens = self.reference_densities
-        if not dens:
-            dens = (1.0,) * n_regions
-        if len(dens) != n_regions:
-            raise InvalidStateError(
-                f"need one reference density per region ({n_regions}), got {len(dens)}"
-            )
-        object.__setattr__(self, "reference_densities", tuple(float(d) for d in dens))
-
-    def v_shock_rate(self) -> float:
-        """d/dt of -V as per-shock interface terms -v_s [[lambda]] + [[lambda u]] . n.
-
-        The interface sum equals the full rate when the domain endpoints move
-        with the fluid; fixed endpoints add lambda_0 u_0 - lambda_m u_m, which
-        this rate leaves out.
-        """
-        total = 0.0
-        for i in range(len(self.solution.shock_speeds)):
-            total -= lambda_jump_defect(self.solution, self, i)
-        return total
+from .shock1d import PiecewiseShockSolution, energy_rate, potential_rate
 
 
 def calibrate_lambda(sol: PiecewiseShockSolution) -> tuple[float, float]:
@@ -96,30 +57,16 @@ def calibrate_lambda(sol: PiecewiseShockSolution) -> tuple[float, float]:
     )
 
 
-def calibrated_flow_map(sol: PiecewiseShockSolution) -> FlowMap1D:
-    """FlowMap1D whose constant reference densities carry the calibrated lambdas."""
-    lam_l, lam_r = calibrate_lambda(sol)
-    return FlowMap1D(sol, (lam_l, lam_r))
-
-
-def augmented_energy_rate(sol: PiecewiseShockSolution, flow_map: FlowMap1D) -> float:
+def augmented_energy_rate(sol: PiecewiseShockSolution, lambdas: tuple[float, ...]) -> float:
     """dE/dt + dV/dt for the solution and potential; ~0 after calibration.
 
-    This is energy_rate minus the interface rate of -V; with the unit
-    density it reproduces the energy-versus-volume mismatch instead.
+    This is energy_rate minus the interface rate of -V; with unit densities
+    it reproduces the energy-versus-volume mismatch instead.
     """
-    return energy_rate(sol) - flow_map.v_shock_rate()
+    return energy_rate(sol) - potential_rate(sol, lambdas)
 
 
-def lambda_jump_defect(sol: PiecewiseShockSolution, flow_map: FlowMap1D, i: int = 0) -> float:
-    """v_s [[lambda]] - [[lambda u]] . n on shock i: nonzero means lambda is not conserved."""
-    lam_l, lam_r = flow_map.reference_densities[i : i + 2]
-    u_l = sol.states[i].u
-    u_r = sol.states[i + 1].u
-    return jump_residual(sol.shock_speeds[i], 1.0, lam_l, lam_r, lam_l * u_l, lam_r * u_r)
-
-
-def augmented_jump_residual(sol: PiecewiseShockSolution, flow_map: FlowMap1D) -> float:
+def augmented_jump_residual(sol: PiecewiseShockSolution, lambdas: tuple[float, ...]) -> float:
     """Conservative jump residual of E - lambda on the first shock.
 
     The conserved combination inherits E's flux (E + p) u, from
@@ -128,7 +75,7 @@ def augmented_jump_residual(sol: PiecewiseShockSolution, flow_map: FlowMap1D) ->
     for calibrated lambdas.
     """
     left, right = sol.states[0], sol.states[1]
-    lam_l, lam_r = flow_map.reference_densities[:2]
+    lam_l, lam_r = lambdas[:2]
     U_l, F_l = balance_terms(sol.model, left)
     U_r, F_r = balance_terms(sol.model, right)
     f_l = F_l[2] - lam_l * left.u

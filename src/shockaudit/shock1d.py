@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .eos import FluidState, GasModel, require_finite, require_valid
 from .errors import DomainError, InvalidStateError
-from .rh import ShockJump, interface_energy_rate
+from .rh import ShockJump, interface_energy_rate, jump_residual
 
 #: Safety margin subtracted from shock-collision times when fixing the horizon.
 HORIZON_MARGIN = 1e-9
@@ -173,22 +173,36 @@ def energy_rate(sol: PiecewiseShockSolution) -> float:
     return sum(interface_energy_rate(jump, sol.model) for jump in sol.jumps())
 
 
-def length_rate(sol: PiecewiseShockSolution) -> float:
-    """Rate of change of material length via the interface transport formula.
+def potential_rate(sol: PiecewiseShockSolution, lambdas: tuple[float, ...]) -> float:
+    """Rate of -V, the dissipation potential of constant reference densities.
 
-    With the unit reference density the per-shock term -v_s [[1]] + [[u]] . n
-    reduces to the velocity jump, so the total telescopes to u_last - u_first.
+    lambdas holds one density lambda_i per region; -V is the sum of lambda_i
+    times the reference length of the labels occupying region i.  Per shock
+    the term is -v_s [[lambda]] + [[lambda u]] . n, so unit densities give
+    the velocity jump and the total telescopes to u_last - u_first, the
+    material length rate.  The interface sum is the full rate when the
+    domain endpoints move with the fluid; fixed endpoints add
+    lambda_0 u_0 - lambda_m u_m, which this rate leaves out.
     """
-    return sum(jump.right.u - jump.left.u for jump in sol.jumps())
+    if len(lambdas) != len(sol.states):
+        raise InvalidStateError(
+            f"need one reference density per region ({len(sol.states)}), got {len(lambdas)}"
+        )
+    total = 0.0
+    for i, v_s in enumerate(sol.shock_speeds):
+        lam_l, lam_r = lambdas[i], lambdas[i + 1]
+        u_l, u_r = sol.states[i].u, sol.states[i + 1].u
+        total -= jump_residual(v_s, 1.0, lam_l, lam_r, lam_l * u_l, lam_r * u_r)
+    return total
 
 
 def volume_potential_mismatch(sol: PiecewiseShockSolution) -> tuple[float, float, float]:
     """(dEdt, neg_dVdt, gap) comparing energy decay against the volume rate.
 
     neg_dVdt is the rate of the occupied reference volume (unit reference
-    density), i.e. the length rate.  A positive gap shows the energy budget
+    densities), i.e. the length rate.  A positive gap shows the energy budget
     is not reproduced by the volume functional alone.
     """
     dedt = energy_rate(sol)
-    neg_dvdt = length_rate(sol)
+    neg_dvdt = potential_rate(sol, (1.0,) * len(sol.states))
     return (dedt, neg_dvdt, abs(dedt - neg_dvdt))

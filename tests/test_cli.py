@@ -806,6 +806,18 @@ class TestFvRunValidation:
         assert "conservation" in record["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["n_cells", "snapshots"])
+    def test_unallocatable_size_is_numerical_error(self, tmp_path, capsys, key):
+        # 10**15 float64 values are 8 PB: numpy refuses the array at once,
+        # which used to escape as a MemoryError traceback with exit 1.
+        assert main(["--config", write_config(tmp_path, self.config(tmp_path, {key: 10**15}))]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)["error"]
+        assert record["kind"] == "numerical"
+        assert record["message"].startswith("out of memory: ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("t_final", [1e-15, 1e-20])
     def test_tiny_t_final_is_run(self, tmp_path, t_final):
         # Absolute 1e-14 time tolerances used to take no step and report t_final 0.

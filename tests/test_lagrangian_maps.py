@@ -4,19 +4,13 @@ import pytest
 import oracles
 from shockaudit.eos import FluidState, GasModel
 from shockaudit.errors import CalibrationError, InvalidStateError
-from shockaudit.lagrangian_maps import (
-    FlowMap1D,
-    augmented_energy_rate,
-    augmented_jump_residual,
-    calibrate_lambda,
-    calibrated_flow_map,
-    lambda_jump_defect,
-)
+from shockaudit.lagrangian_maps import augmented_energy_rate, augmented_jump_residual, calibrate_lambda
 from shockaudit.rh import hugoniot_solve
 from shockaudit.shock1d import (
     Domain1D,
     PiecewiseShockSolution,
     energy_rate,
+    potential_rate,
     stationary_shock_example,
 )
 
@@ -53,21 +47,14 @@ def scaled_reference_shock(s):
     )
 
 
-class TestFlowMap:
-    def test_densities_stored_as_floats(self):
-        fm = FlowMap1D(stationary_shock_example(2.0), [np.float64(2.5), 3])
-        assert fm.reference_densities == (2.5, 3.0)
-        assert all(type(lam) is float for lam in fm.reference_densities)
+class TestPotentialRate:
+    def test_any_real_densities(self):
+        sol = stationary_shock_example(2.0)
+        assert potential_rate(sol, [np.float64(2.5), 3]) == potential_rate(sol, (2.5, 3.0))
 
     def test_one_density_per_region(self):
         with pytest.raises(InvalidStateError, match="one reference density per region"):
-            FlowMap1D(stationary_shock_example(2.0), (1.0, 2.0, 3.0))
-
-
-class TestVShockRate:
-    def test_reference_interface_rate(self):
-        sol = stationary_shock_example(2.0)
-        assert FlowMap1D(sol).v_shock_rate() == pytest.approx(-1.0, abs=1e-14)
+            potential_rate(stationary_shock_example(2.0), (1.0, 2.0, 3.0))
 
     def test_zero_jump(self):
         model = GasModel.barotropic(K=1.0, gamma=2.0)
@@ -75,7 +62,17 @@ class TestVShockRate:
         sol = PiecewiseShockSolution(
             model=model, states=(state, state), shock_positions_t0=(0.0,), shock_speeds=(0.2,)
         )
-        assert FlowMap1D(sol).v_shock_rate() == 0.0
+        assert potential_rate(sol, (1.0, 1.0)) == 0.0
+
+    def test_unit_density_is_not_conserved(self):
+        # With the unit reference density the transported field fails the
+        # conservative jump condition: |v_s [[lambda]] - [[lambda u]]| = 1.
+        sol = stationary_shock_example(2.0)
+        assert abs(potential_rate(sol, (1.0, 1.0))) == pytest.approx(1.0, abs=1e-14)
+
+    def test_calibrated_rate_equals_energy_rate(self):
+        sol = stationary_shock_example(2.0)
+        assert potential_rate(sol, calibrate_lambda(sol)) == pytest.approx(energy_rate(sol), abs=1e-13)
 
     @staticmethod
     def central_difference(sol, densities, rng):
@@ -93,7 +90,7 @@ class TestVShockRate:
             sol = random_admissible_solution(rng, motion="material")
             densities = tuple(rng.uniform(-2.0, 2.0, size=2))
             fd = self.central_difference(sol, densities, rng)
-            assert FlowMap1D(sol, densities).v_shock_rate() == pytest.approx(fd, rel=1e-9, abs=1e-10)
+            assert potential_rate(sol, densities) == pytest.approx(fd, rel=1e-9, abs=1e-10)
 
     def test_fixed_endpoints_differ_by_endpoint_transport(self):
         # Fixed walls do not move with the fluid: the potential's rate gains
@@ -104,7 +101,7 @@ class TestVShockRate:
             densities = tuple(rng.uniform(-2.0, 2.0, size=2))
             fd = self.central_difference(sol, densities, rng)
             endpoints = densities[0] * sol.states[0].u - densities[-1] * sol.states[-1].u
-            rate = FlowMap1D(sol, densities).v_shock_rate()
+            rate = potential_rate(sol, densities)
             assert fd - rate == pytest.approx(endpoints, rel=1e-9, abs=1e-10)
 
 
@@ -147,26 +144,25 @@ class TestCalibration:
 
     def test_conserved_combination_after_calibration(self):
         sol = stationary_shock_example(2.0)
-        fm = calibrated_flow_map(sol)
-        assert abs(augmented_jump_residual(sol, fm)) < 1e-12
+        assert abs(augmented_jump_residual(sol, calibrate_lambda(sol))) < 1e-12
 
     def test_closure_on_random_admissible_shocks(self):
         rng = np.random.default_rng(37)
         for _ in range(50):
             sol = random_admissible_solution(rng)
-            fm = calibrated_flow_map(sol)
-            assert abs(augmented_energy_rate(sol, fm)) < 1e-12
-            assert abs(augmented_jump_residual(sol, fm)) < 1e-12
+            lam = calibrate_lambda(sol)
+            assert abs(augmented_energy_rate(sol, lam)) < 1e-12
+            assert abs(augmented_jump_residual(sol, lam)) < 1e-12
 
 
 class TestAugmentedEnergyRate:
     def test_calibrated_rate_vanishes(self):
         sol = stationary_shock_example(2.0)
-        assert abs(augmented_energy_rate(sol, calibrated_flow_map(sol))) < 1e-12
+        assert abs(augmented_energy_rate(sol, calibrate_lambda(sol))) < 1e-12
 
     def test_unit_reference_density_shows_mismatch(self):
         sol = stationary_shock_example(2.0)
-        assert augmented_energy_rate(sol, FlowMap1D(sol)) == pytest.approx(2.0 / 3.0, abs=1e-13)
+        assert augmented_energy_rate(sol, (1.0, 1.0)) == pytest.approx(2.0 / 3.0, abs=1e-13)
 
     def test_zero_jump(self):
         model = GasModel.barotropic(K=1.0, gamma=2.0)
@@ -174,17 +170,5 @@ class TestAugmentedEnergyRate:
         sol = PiecewiseShockSolution(
             model=model, states=(state, state), shock_positions_t0=(0.0,), shock_speeds=(0.0,)
         )
-        assert augmented_energy_rate(sol, FlowMap1D(sol)) == 0.0
+        assert augmented_energy_rate(sol, (1.0, 1.0)) == 0.0
 
-
-class TestLambdaJumpDefect:
-    def test_unit_density_is_not_conserved(self):
-        # With the unit reference density the transported field fails the
-        # conservative jump condition: |v_s [[lambda]] - [[lambda u]]| = 1.
-        sol = stationary_shock_example(2.0)
-        assert abs(lambda_jump_defect(sol, FlowMap1D(sol))) == pytest.approx(1.0, abs=1e-14)
-
-    def test_calibrated_defect_equals_minus_energy_rate(self):
-        sol = stationary_shock_example(2.0)
-        fm = calibrated_flow_map(sol)
-        assert lambda_jump_defect(sol, fm) == pytest.approx(-energy_rate(sol), abs=1e-13)

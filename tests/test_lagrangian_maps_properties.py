@@ -6,9 +6,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from shockaudit.eos import FluidState, GasModel
-from shockaudit.lagrangian_maps import calibrate_lambda
+from shockaudit.lagrangian_maps import augmented_energy_rate, augmented_jump_residual, calibrate_lambda
 from shockaudit.rh import hugoniot_solve
-from shockaudit.shock1d import Domain1D, PiecewiseShockSolution
+from shockaudit.shock1d import Domain1D, PiecewiseShockSolution, energy_rate
 
 
 def two_state_solution(K, gamma, left, right, v_s):
@@ -54,3 +54,32 @@ def test_calibration_scales_with_the_velocity_unit(gamma, K, rho, u, ratio, k):
         )
     )
     assert scaled == tuple(s * s * lam for lam in original)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    gamma=st.floats(1.15, 2.2),
+    K=st.floats(0.4, 1.5),
+    rho=st.floats(0.5, 2.0),
+    u=st.floats(-1.5, 1.5),
+    ratio=st.one_of(st.floats(1.1, 2.2), st.floats(0.45, 0.9)),
+    kappa=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+)
+def test_gauge_family_closes_the_budget(gamma, K, rho, u, ratio, kappa):
+    # The homogeneous relation lambda_r (u_r - v_s) - lambda_l (u_l - v_s) = 0
+    # has the solutions kappa (u_r - v_s, u_l - v_s), so every member of that
+    # family added to the calibrated pair closes the budget too.  The scale
+    # is the size of the added and the calibrated terms; the jump residual
+    # cancels O(1) energies and fluxes down to the much smaller dE/dt of a
+    # weak shock, hence the margin over double roundoff.
+    model = GasModel.barotropic(K=K, gamma=gamma)
+    left = FluidState(rho, u)
+    jump = hugoniot_solve(left, rho * ratio, model)
+    sol = two_state_solution(K, gamma, left, jump.right, jump.v_s)
+    rel_l = left.u - jump.v_s
+    rel_r = jump.right.u - jump.v_s
+    lam_l, lam_r = calibrate_lambda(sol)
+    lam = (lam_l + kappa * rel_r, lam_r + kappa * rel_l)
+    scale = abs(kappa * rel_l * rel_r) + abs(energy_rate(sol))
+    assert abs(augmented_energy_rate(sol, lam)) <= 1e-10 * scale
+    assert abs(augmented_jump_residual(sol, lam)) <= 1e-10 * scale

@@ -9,7 +9,7 @@ from shockaudit.shock1d import (
     PiecewiseShockSolution,
     energy_rate,
     evaluate,
-    length_rate,
+    potential_rate,
     stationary_shock_example,
     translated,
     volume_potential_mismatch,
@@ -179,9 +179,10 @@ class TestEnergyRate:
 
 
 class TestLengthRate:
+    # With unit reference densities the potential's rate is the material length rate.
     @pytest.mark.parametrize("gamma", [1.2, 1.7, 2.0, 3.0])
     def test_reference_value(self, gamma):
-        assert length_rate(stationary_shock_example(gamma)) == pytest.approx(-1.0, abs=1e-15)
+        assert potential_rate(stationary_shock_example(gamma), (1.0, 1.0)) == pytest.approx(-1.0, abs=1e-15)
 
     def test_zero_jump(self):
         model = GasModel.barotropic(K=1.0, gamma=2.0)
@@ -189,7 +190,7 @@ class TestLengthRate:
         sol = PiecewiseShockSolution(
             model=model, states=(state, state), shock_positions_t0=(0.0,), shock_speeds=(0.0,)
         )
-        assert length_rate(sol) == 0.0
+        assert potential_rate(sol, (1.0, 1.0)) == 0.0
 
     def test_velocity_jump_only(self):
         model = GasModel.barotropic(K=1.0, gamma=2.0)
@@ -199,7 +200,7 @@ class TestLengthRate:
             shock_positions_t0=(0.0,),
             shock_speeds=(0.0,),
         )
-        assert length_rate(sol) == pytest.approx(-2.0, abs=1e-15)
+        assert potential_rate(sol, (1.0, 1.0)) == pytest.approx(-2.0, abs=1e-15)
 
 
 class TestVolumePotentialMismatch:
