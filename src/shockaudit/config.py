@@ -154,40 +154,21 @@ def state_from_dict(block: dict, where: str = "state") -> FluidState:
 
 
 def jump_to_dict(jump: ShockJump) -> dict:
-    out = {
+    return {
         "left": state_to_dict(jump.left),
         "right": state_to_dict(jump.right),
         "n": jump.n,
         "v_s": jump.v_s,
     }
-    if jump.sigma_left is not None:
-        out["sigma_left"] = jump.sigma_left
-    if jump.sigma_right is not None:
-        out["sigma_right"] = jump.sigma_right
-    if jump.js_left:
-        out["js_left"] = jump.js_left
-    if jump.js_right:
-        out["js_right"] = jump.js_right
-    return out
 
 
 def jump_from_dict(block: dict) -> ShockJump:
-    _check_keys(
-        block,
-        {"left", "right", "n", "v_s", "sigma_left", "sigma_right", "js_left", "js_right"},
-        {"left", "right"},
-        "jump",
-    )
-    sigma_l, sigma_r = block.get("sigma_left"), block.get("sigma_right")
+    _check_keys(block, {"left", "right", "n", "v_s"}, {"left", "right"}, "jump")
     return ShockJump(
         left=state_from_dict(block["left"], "jump.left"),
         right=state_from_dict(block["right"], "jump.right"),
         n=_real(block.get("n", 1.0), "jump.n"),
         v_s=_real(block.get("v_s", 0.0), "jump.v_s"),
-        sigma_left=None if sigma_l is None else _real(sigma_l, "jump.sigma_left"),
-        sigma_right=None if sigma_r is None else _real(sigma_r, "jump.sigma_right"),
-        js_left=_real(block.get("js_left", 0.0), "jump.js_left"),
-        js_right=_real(block.get("js_right", 0.0), "jump.js_right"),
     )
 
 

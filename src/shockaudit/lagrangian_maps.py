@@ -67,15 +67,20 @@ def augmented_energy_rate(sol: PiecewiseShockSolution, lambdas: tuple[float, ...
 
 
 def augmented_jump_residual(sol: PiecewiseShockSolution, lambdas: tuple[float, ...]) -> float:
-    """Conservative jump residual of E - lambda on the first shock.
+    """Conservative jump residual of E - lambda on the shock of a two-state solution.
 
     The conserved combination inherits E's flux (E + p) u, from
     eos.balance_terms, less lambda's transport lambda u:
     v_s [[E - lambda]] - [[(E + p) u - lambda u]] . n, which vanishes exactly
     for calibrated lambdas.
     """
-    left, right = sol.states[0], sol.states[1]
-    lam_l, lam_r = lambdas[:2]
+    if len(sol.states) != 2 or len(lambdas) != 2:
+        raise InvalidStateError(
+            "the augmented jump residual is defined for two-state, single-shock solutions "
+            "and one lambda per side"
+        )
+    left, right = sol.states
+    lam_l, lam_r = lambdas
     U_l, F_l = balance_terms(sol.model, left)
     U_r, F_r = balance_terms(sol.model, right)
     f_l = F_l[2] - lam_l * left.u

@@ -25,7 +25,6 @@ from .eos import (
     require_finite,
     require_valid,
     specific_entropy,
-    temperature,
 )
 from .errors import (
     DegenerateJumpError,
@@ -40,38 +39,23 @@ from .errors import (
 RESIDUAL_TOL = 1e-10
 #: Slack allowed when testing the entropy/dissipation inequality.
 ADMISSIBILITY_TOL = 1e-12
+#: Mass/momentum residual a jump must meet before its admissibility is tested.
+ADMISSIBILITY_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class ShockJump:
-    """A left/right state pair with normal, interface speed, and bookkeeping data.
-
-    sigma_left/right are one-sided values of the entropy bookkeeping variable
-    (default: equal to s, so the tracked difference s - sigma vanishes).
-    js_left/right are one-sided normal entropy-flux contributions; they
-    default to zero and are pure what-if inputs for piecewise-constant states.
-    """
+    """A left/right state pair with its interface normal and speed."""
 
     left: FluidState
     right: FluidState
     n: float = 1.0
     v_s: float = 0.0
-    sigma_left: float | None = None
-    sigma_right: float | None = None
-    js_left: float = 0.0
-    js_right: float = 0.0
 
     def __post_init__(self):
         if abs(self.n) != 1.0:
             raise InvalidStateError(f"normal must be +1 or -1, got {self.n}")
-        require_finite(
-            "jump", v_s=self.v_s, sigma_left=self.sigma_left, sigma_right=self.sigma_right,
-            js_left=self.js_left, js_right=self.js_right,
-        )
-
-    @property
-    def has_entropy_flux(self) -> bool:
-        return self.js_left != 0.0 or self.js_right != 0.0
+        require_finite("jump", v_s=self.v_s)
 
 
 @dataclass(frozen=True)
@@ -81,10 +65,9 @@ class RhResidual:
     mass: float
     momentum: float
     energy: float
-    entropy_var: float = 0.0
 
     def max_abs(self) -> float:
-        return max(abs(self.mass), abs(self.momentum), abs(self.energy), abs(self.entropy_var))
+        return max(abs(self.mass), abs(self.momentum), abs(self.energy))
 
     def conserved_max_abs(self) -> float:
         """Max residual over mass and momentum only (the laws every model shares)."""
@@ -95,7 +78,7 @@ class RhResidual:
             "mass": self.mass,
             "momentum": self.momentum,
             "energy": self.energy,
-            "entropy_var": self.entropy_var,
+            "entropy_var": 0.0,  # always 0: kept for the fixed five-row residual CSV layout
         }
 
 
@@ -105,38 +88,17 @@ def jump_residual(v_s: float, n: float, q_l, q_r, f_l, f_r):
 
 
 def rh_residuals(jump: ShockJump, model: GasModel) -> RhResidual:
-    """Evaluate all applicable jump-condition residuals for the candidate jump.
+    """Evaluate the mass, momentum and energy jump-condition residuals.
 
-    The entropy-variable residual is reported as exact zero for barotropic
-    models; the energy residual picks up the temperature-weighted entropy
-    flux term only when a nonzero js is supplied.  A residual that is not
-    finite (finite states whose flux overflows a double) is a NumericalError
-    naming the first such law.
+    A residual that is not finite (finite states whose flux overflows a
+    double) is a NumericalError naming the first such law.
     """
-    left, right = jump.left, jump.right
     n, v_s = jump.n, jump.v_s
-    U_l, F_l = balance_terms(model, left)
-    U_r, F_r = balance_terms(model, right)
-    mass, momentum, energy = (
+    U_l, F_l = balance_terms(model, jump.left)
+    U_r, F_r = balance_terms(model, jump.right)
+    res = RhResidual(*(
         jump_residual(v_s, n, q_l, q_r, f_l, f_r) for q_l, q_r, f_l, f_r in zip(U_l, U_r, F_l, F_r)
-    )
-
-    entropy_var = 0.0
-    if jump.has_entropy_flux:
-        # The T js work term needs a temperature, hence an entropy model.
-        energy -= (
-            temperature(model, right) * jump.js_right - temperature(model, left) * jump.js_left
-        ) * n
-    if model.carries_entropy:
-        sig_l = left.s if jump.sigma_left is None else jump.sigma_left
-        sig_r = right.s if jump.sigma_right is None else jump.sigma_right
-        q_l = left.s - sig_l
-        q_r = right.s - sig_r
-        entropy_var = jump_residual(
-            v_s, n, q_l, q_r, q_l * left.u + jump.js_left, q_r * right.u + jump.js_right
-        )
-
-    res = RhResidual(mass=mass, momentum=momentum, energy=energy, entropy_var=entropy_var)
+    ))
     for law, value in res.as_dict().items():
         if not math.isfinite(value):
             raise NumericalError(f"non-finite {law} jump residual {value}")
@@ -190,20 +152,20 @@ def _admissibility_margin(jump: ShockJump, model: GasModel) -> float:
     return specific_entropy(upstream) - specific_entropy(downstream)
 
 
-def entropy_admissible(jump: ShockJump, model: GasModel, residual_tol: float = 1e-8) -> bool:
+def entropy_admissible(jump: ShockJump, model: GasModel) -> bool:
     """True iff the jump is the physically admissible branch.
 
     Barotropic: mechanical energy must not increase across the shock.
     Entropy model: downstream specific entropy must not be below upstream.
     Either margin may exceed zero by ADMISSIBILITY_TOL.
-    The jump must already satisfy mass and momentum to within residual_tol
-    (loosen it when auditing finite-resolution captured shocks).
+    The jump must already satisfy mass and momentum to within
+    ADMISSIBILITY_RESIDUAL_TOL.
     """
     res = rh_residuals(jump, model)
-    if res.conserved_max_abs() >= residual_tol:
+    if res.conserved_max_abs() >= ADMISSIBILITY_RESIDUAL_TOL:
         raise InvalidJumpError(
             "admissibility queried on a jump violating mass/momentum conditions "
-            f"(residual {res.conserved_max_abs():.3e} >= {residual_tol:.1e})"
+            f"(residual {res.conserved_max_abs():.3e} >= {ADMISSIBILITY_RESIDUAL_TOL:.1e})"
         )
     return _admissibility_margin(jump, model) <= ADMISSIBILITY_TOL
 

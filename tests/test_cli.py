@@ -196,6 +196,22 @@ class TestRhSolve:
         assert record["error"]["kind"] == "validation"
         assert "finite" in record["error"]["message"]
 
+    @pytest.mark.parametrize("key", ["sigma_left", "js_left"])
+    @pytest.mark.parametrize(
+        "model",
+        [{"kind": "barotropic_polytropic", "K": 2.0 / 3.0, "gamma": 2.0}, {"kind": "ideal_gas_entropy", "gamma": 1.4}],
+        ids=lambda m: m["kind"],
+    )
+    def test_jump_takes_states_normal_and_speed_only(self, tmp_path, capsys, model, key):
+        # A barotropic js_left used to exit 4: its temperature is undefined.
+        s = {"s": 0.0} if model["kind"] == "ideal_gas_entropy" else {}
+        jump = {"left": {"rho": 1.0, "u": 2.0, **s}, "right": {"rho": 2.0, "u": 1.0, **s}, "n": 1.0, "v_s": 0.0, key: 0.1}
+        cfg = {"model": model, "task": {"name": "rh-solve", "jump": jump}, "output": {"dir": str(tmp_path / "out")}}
+        assert main(["--config", write_config(tmp_path, cfg)]) == 3
+        record = json.loads(capsys.readouterr().err)["error"]
+        assert (record["kind"], record["message"]) == ("validation", f"unknown keys ['{key}'] in jump")
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigErrors:
     def test_missing_model_is_validation_error(self, tmp_path):
@@ -504,8 +520,7 @@ class TestNumberFields:
         baro = {"kind": "barotropic_polytropic", "K": 1.0, "gamma": 1.4}
         ideal = {"kind": "ideal_gas_entropy", "gamma": 1.4, "e_ref": 1.0, "c_v": 1.0}
         left, right = {"rho": 1.0, "u": 0.0, "s": 0.0}, {"rho": 2.0, "u": 0.0, "s": 0.0}
-        jump = {"left": left, "right": right, "n": 1.0, "v_s": 0.0,
-                "sigma_left": 0.0, "sigma_right": 0.0, "js_left": 0.0, "js_right": 0.0}
+        jump = {"left": left, "right": right, "n": 1.0, "v_s": 0.0}
         return {
             "example": {"task": {"name": "shock-example", "gamma": 2.0}},
             "solve": {"model": baro, "task": {"name": "rh-solve", "left": {"rho": 1.0, "u": 0.0}, "rho_right": 2.0}},
@@ -536,9 +551,8 @@ class TestNumberFields:
             ("ideal", ("task", "left", "s"), "0"),
             ("jump", ("task", "jump", "n"), "1"),
             ("jump", ("task", "jump", "v_s"), True),
-            ("jump", ("task", "jump", "js_left"), "0"),
-            ("jump", ("task", "jump", "js_right"), [0.0]),
-            ("jump", ("task", "jump", "sigma_right"), "x"),
+            ("jump", ("task", "jump", "v_s"), [0.0]),
+            ("jump", ("task", "jump", "n"), None),
             ("jump", ("task", "jump", "right", "rho"), "2"),
             ("weak", ("solution", "domain", "x_min"), "-1"),
             ("weak", ("solution", "domain", "x_max"), True),
@@ -1270,7 +1284,8 @@ class TestRoundTrips:
 
     def test_jump_round_trip(self):
         sol = stationary_shock_example(2.0)
-        jump = ShockJump(left=sol.states[0], right=sol.states[1], n=-1.0, v_s=0.25, js_left=0.1)
+        jump = ShockJump(left=sol.states[0], right=sol.states[1], n=-1.0, v_s=0.25)
+        assert list(jump_to_dict(jump)) == ["left", "right", "n", "v_s"]
         assert jump_from_dict(jump_to_dict(jump)) == jump
 
     def test_emitted_solution_block_reparses(self, tmp_path):

@@ -20,7 +20,7 @@ from shockaudit.fv_solver import (
     simulate,
     step,
 )
-from shockaudit.rh import entropy_admissible, hugoniot_solve
+from shockaudit.rh import ADMISSIBILITY_TOL, hugoniot_solve, interface_energy_rate
 from shockaudit.shock1d import Domain1D, PiecewiseShockSolution, evaluate, stationary_shock_example
 
 GAMMA2 = GasModel.barotropic(K=2.0 / 3.0, gamma=2.0)
@@ -731,7 +731,11 @@ class TestMeasureShock:
         grid = Grid1D(-1.0, 1.0, 400)
         result = simulate(sol.model, grid, field_from_solution(sol.model, grid, sol), 0.25)
         meas = measure_shock(sol.model, grid, result.field)
-        assert entropy_admissible(meas.jump, sol.model, residual_tol=0.05)
+        # A captured jump meets mass and momentum only to the grid's accuracy
+        # (about 1e-6 here), short of entropy_admissible's fixed precondition,
+        # so read the barotropic admissibility margin directly: energy decays.
+        assert meas.residual.conserved_max_abs() < 0.05
+        assert interface_energy_rate(meas.jump, sol.model) <= ADMISSIBILITY_TOL
 
     def test_moving_shock_speed_recovered(self):
         model = GasModel.barotropic(K=1.0, gamma=1.4)

@@ -154,6 +154,25 @@ class TestCalibration:
             assert abs(augmented_energy_rate(sol, lam)) < 1e-12
             assert abs(augmented_jump_residual(sol, lam)) < 1e-12
 
+    def test_conserved_combination_needs_one_lambda_per_side(self):
+        # A third value used to be dropped: (0, -1/3, 5) read as calibrated.
+        sol = stationary_shock_example(2.0)
+        with pytest.raises(InvalidStateError, match="two-state, single-shock"):
+            augmented_jump_residual(sol, (0.0, -1.0 / 3.0, 5.0))
+        with pytest.raises(InvalidStateError, match="two-state, single-shock"):
+            augmented_jump_residual(sol, (0.0,))
+
+    def test_conserved_combination_needs_a_single_shock(self):
+        # Only shock 0 of a two-shock solution used to be audited.
+        ref = stationary_shock_example(2.0)
+        left, right = ref.states
+        sol = PiecewiseShockSolution(
+            model=ref.model, states=(left, right, right), shock_positions_t0=(-0.5, 0.5),
+            shock_speeds=(0.0, 0.0),
+        )
+        with pytest.raises(InvalidStateError, match="two-state, single-shock"):
+            augmented_jump_residual(sol, (0.0, -1.0 / 3.0))
+
 
 class TestAugmentedEnergyRate:
     def test_calibrated_rate_vanishes(self):

@@ -9,10 +9,17 @@ checkout's `src/`).  The four `bench/` decks are built once per seed through
 each audit the exit status, stdout, stderr and every file written to the
 output directory are compared.  The number of differing audits is printed
 per workload, and the exit status is 1 if any audit differs.  For a
-workload with differing audits the largest absolute difference between
-numbers at the same place of the two trees' JSON and CSV artifacts (same
-key path, same row and column) is printed as well, so a roundoff change
-reads apart from a changed result.
+workload with differing audits, the two trees' JSON and CSV artifacts are
+also compared place by place (same key path, same row and column):
+- the largest absolute difference between numbers at the same place, so a
+  roundoff change reads apart from a changed result;
+- the number of numeric places that exist in only one tree (an added or
+  removed key, row or column);
+- the number of places that hold 0 in one tree and -0 in the other;
+- the number of non-numeric places (text, booleans, null) that differ.
+When every differing audit keeps its exit status and stderr and its
+artifacts differ only in the sign of zero (stdout echoes the JSON
+summary), the line ends "(sign of zero only)".
 
 Passing the same tree twice checks that an audit's bytes do not depend on
 the calls made before it in the same process.
@@ -89,9 +96,15 @@ def _differences(a: dict, b: dict) -> list:
     return parts + [name for name in names if a["artifacts"].get(name) != b["artifacts"].get(name)]
 
 
-def _numbers(path: str) -> dict:
-    """{place: value} of every number in a JSON or CSV artifact, {} for any other file."""
+def _places(path: str) -> dict:
+    """{place: leaf} of a JSON or CSV artifact, {} for any other or missing file.
+
+    A number is a float (JSON integers too, so "-0" keeps its sign); any
+    other leaf is its JSON text or CSV cell, a string.
+    """
     places = {}
+    if not os.path.isfile(path):
+        return places
     if path.endswith(".json"):
         def walk(node, place):
             if isinstance(node, dict):
@@ -100,11 +113,13 @@ def _numbers(path: str) -> dict:
             elif isinstance(node, list):
                 for i, value in enumerate(node):
                     walk(value, place + (i,))
-            elif isinstance(node, (int, float)) and not isinstance(node, bool):
-                places[place] = float(node)
+            elif isinstance(node, float):
+                places[place] = node
+            else:
+                places[place] = json.dumps(node)
 
         with open(path, encoding="utf-8") as fh:
-            walk(json.load(fh), ())
+            walk(json.load(fh, parse_int=float), ())
     elif path.endswith(".csv"):
         with open(path, newline="", encoding="utf-8") as fh:
             for row, cells in enumerate(csv.reader(fh)):
@@ -112,23 +127,36 @@ def _numbers(path: str) -> dict:
                     try:
                         places[(row, col)] = float(cell)
                     except ValueError:
-                        pass
+                        places[(row, col)] = cell
     return places
 
 
-def max_numeric_difference(dir_a: str, dir_b: str) -> float:
-    """Largest |a - b| over the numbers at the same place of same-named JSON and CSV artifacts."""
-    largest = 0.0
-    if not (os.path.isdir(dir_a) and os.path.isdir(dir_b)):
-        return largest
-    for name in sorted(set(os.listdir(dir_a)) & set(os.listdir(dir_b))):
-        a, b = _numbers(os.path.join(dir_a, name)), _numbers(os.path.join(dir_b, name))
-        for place in a.keys() & b.keys():
-            x, y = a[place], b[place]
-            if x != y and not (math.isnan(x) and math.isnan(y)):
-                delta = abs(x - y)  # NaN against a number, or inf against finite: inf
-                largest = max(largest, math.inf if math.isnan(delta) else delta)
-    return largest
+def compare_artifacts(dir_a: str, dir_b: str) -> dict:
+    """How the JSON and CSV artifacts of two output directories differ, place by place.
+
+    largest: the largest |a - b| over numbers at the same place (NaN against
+    a number, or inf against a finite number, is inf); one_sided: numeric
+    places in only one directory; sign_of_zero: places holding 0 in one and
+    -0 in the other; text: non-numeric places that differ or exist in only
+    one directory.  A missing directory has no places.
+    """
+    out = {"largest": 0.0, "one_sided": 0, "sign_of_zero": 0, "text": 0}
+    names = {name for d in (dir_a, dir_b) if os.path.isdir(d) for name in os.listdir(d)}
+    for name in sorted(names):
+        a, b = _places(os.path.join(dir_a, name)), _places(os.path.join(dir_b, name))
+        for place in a.keys() | b.keys():
+            x, y = a.get(place), b.get(place)  # None: the place is missing
+            if isinstance(x, float) and isinstance(y, float):
+                if x == y and math.copysign(1.0, x) != math.copysign(1.0, y):
+                    out["sign_of_zero"] += 1
+                elif x != y and not (math.isnan(x) and math.isnan(y)):
+                    delta = abs(x - y)  # NaN against a number, or inf against finite: inf
+                    out["largest"] = max(out["largest"], math.inf if math.isnan(delta) else delta)
+            elif None in (x, y) and (isinstance(x, float) or isinstance(y, float)):
+                out["one_sided"] += 1
+            elif x != y:
+                out["text"] += 1
+    return out
 
 
 def parse_args(argv=None):
@@ -176,7 +204,10 @@ def main(argv=None) -> int:
         records_a, records_b = runs[0], runs[1][::-1]
 
         differing = {workload: 0 for workload in WORKLOADS}
-        largest = {workload: 0.0 for workload in WORKLOADS}
+        places = {workload: {"largest": 0.0, "one_sided": 0, "sign_of_zero": 0, "text": 0}
+                  for workload in WORKLOADS}
+        # Workloads with a differing audit that the sign of zero does not explain.
+        not_sign_only = set()
         statuses = {workload: {} for workload in WORKLOADS}
         for i, ((workload, seed, label, _, _), a, b) in enumerate(zip(audits, records_a, records_b)):
             tally = statuses[workload]
@@ -184,14 +215,27 @@ def main(argv=None) -> int:
             parts = _differences(a, b)
             if parts:
                 differing[workload] += 1
-                delta = max_numeric_difference(keep["a"][i], keep["b"][i])
-                largest[workload] = max(largest[workload], delta)
+                found, total = compare_artifacts(keep["a"][i], keep["b"][i]), places[workload]
+                if ("status" in parts or "stderr" in parts or not found["sign_of_zero"]
+                        or found["largest"] or found["one_sided"] or found["text"]):
+                    not_sign_only.add(workload)
+                total["largest"] = max(total["largest"], found.pop("largest"))
+                for key, count in found.items():
+                    total[key] += count
                 print(f"differs: {workload} seed={seed} {label}: {', '.join(parts)}")
     for workload, tally in statuses.items():
         exits = ", ".join(f"{status} x{count}" for status, count in sorted(tally.items()))
         line = f"{workload}: {differing[workload]} of {sum(tally.values())} audits differ (exit status in A: {exits})"
         if differing[workload]:
-            line += f"; max |difference| of JSON/CSV numbers: {largest[workload]:.3g}"
+            total = places[workload]
+            line += (
+                f"; max |difference| of JSON/CSV numbers: {total['largest']:.3g}"
+                f"; numeric places in one tree only: {total['one_sided']}"
+                f"; places differing only in the sign of zero: {total['sign_of_zero']}"
+                f"; differing text places: {total['text']}"
+            )
+            if workload not in not_sign_only:
+                line += " (sign of zero only)"
         print(line)
     n_diff = sum(differing.values())
     print(f"total: {n_diff} of {len(audits)} audits differ")
