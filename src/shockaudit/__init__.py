@@ -26,7 +26,7 @@ from .lagrangian_maps import augmented_energy_rate, calibrate_lambda
 
 __version__ = "0.1.0"
 
-_WEAKCHECK_NAMES = ("BumpTestFunction", "SpacetimeQuadrature", "weak_residuals")
+_WEAKCHECK_NAMES = ("BumpTestFunction", "SpacetimeQuadrature", "battery_residuals", "weak_residuals")
 
 
 def __getattr__(name):
@@ -58,6 +58,7 @@ __all__ = [
     "calibrate_lambda",
     "BumpTestFunction",
     "SpacetimeQuadrature",
+    "battery_residuals",
     "weak_residuals",
     "__version__",
 ]

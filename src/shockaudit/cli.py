@@ -359,7 +359,7 @@ def _run_fv(cfg: RunConfig):
 
 def _run_weak_verify(cfg: RunConfig):
     _keep_freed_heap()
-    from .weakcheck import BumpTestFunction, SpacetimeQuadrature, standard_battery, weak_residuals
+    from .weakcheck import BumpTestFunction, SpacetimeQuadrature, battery_residuals, standard_battery
 
     sol = cfg.solution
     task = cfg.task
@@ -376,8 +376,8 @@ def _run_weak_verify(cfg: RunConfig):
     else:
         bumps = standard_battery(sol, count=task.get("count", 20), seed=task.get("seed", 0))
     tol = cfg.tolerances["weak_residual"]
-    # One shared h evaluation per bump; rows stay component-major.
-    residuals = [weak_residuals(sol, components, bump, quad) for bump in bumps]
+    # One quadrature pass for the whole battery; rows stay component-major.
+    residuals = battery_residuals(sol, components, bumps, quad)
     rows = []
     worst = 0.0
     for m, comp in enumerate(components):

@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidStateError, UnsupportedModelError
+from .errors import InvalidStateError, NumericalError, UnsupportedModelError
 
 
 def require_finite(owner: str, **values) -> None:
@@ -226,5 +226,10 @@ def entropy_density_from_pressure(model: GasModel, rho, p):
     positive = (rho > 0.0) & (p > 0.0)
     if not (positive.all() if _is_array(positive) else positive):
         raise InvalidStateError(f"need positive rho and p, got rho={rho}, p={p}")
-    S = model.c_v * _lib(p).log(p / ((model.gamma - 1.0) * model.e_ref * rho ** model.gamma))
+    scale = (model.gamma - 1.0) * model.e_ref * rho ** model.gamma
+    # Positive factors whose product underflows (a subnormal e_ref, say).
+    underflow = scale == 0.0
+    if underflow.any() if _is_array(underflow) else underflow:
+        raise NumericalError(f"(gamma - 1) e_ref rho**gamma underflows to 0 at rho={rho}")
+    S = model.c_v * _lib(p).log(p / scale)
     return rho * S

@@ -382,6 +382,11 @@ def measure_shock(model: GasModel, grid: Grid1D, field: ConservedField, trajecto
     v_s = 0.0
     if len(trajectory) >= 2:
         ts, xs = np.asarray(trajectory).T
+        # polyfit scales the time column by its 2-norm: if every t**2
+        # underflows that norm is 0 and the fit divides by it.
+        if not np.any(ts * ts):
+            raise NumericalError(f"shock trajectory times up to {ts.max()} are too short to fit a speed"
+                                 " (their squares underflow)")
         v_s = float(np.polyfit(ts, xs, 1)[0])
     jump = ShockJump(left=left, right=right, n=1.0, v_s=v_s)
     return ShockMeasurement(position=x_s, jump=jump, residual=rh_residuals(jump, model))

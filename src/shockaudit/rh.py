@@ -210,6 +210,9 @@ def hugoniot_solve(
                 f"density ratio {rho_right / left.rho:.4g} has no shock for gamma={g:.4g}"
             )
         p_r = p_l * numer / denom
+        if p_r == 0.0:
+            # p_l > 0 and numer / denom > 0 in exact arithmetic.
+            raise NumericalError(f"downstream pressure underflows to 0 (left pressure {p_l})")
         s_r = entropy_density_from_pressure(model, rho_right, p_r)
     else:
         p_r, s_r = pressure_from(model, rho_right), None

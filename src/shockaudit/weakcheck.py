@@ -5,11 +5,24 @@ the spacetime integral of U dh/dt + F(U) dh/dx vanishes for every smooth
 compactly supported test function h.  For piecewise-constant candidates the
 integrand is smooth per region, so shock-aligned subdivision plus composite
 Gauss quadrature evaluates the residual to near machine precision.
+
+A battery of bumps is evaluated in one pass (battery_residuals): the time
+factors of every slab of every bump in one mollifier call, every
+sub-region between fixed breaks in one more, and the sub-regions next to a
+moving shock one slab at a time, which bounds the node arrays alive at once.
+The sums keep their per-bump shapes, because BLAS sums a row of a stacked
+matrix-vector product in another order than the same row alone: each
+sub-region's space sums stay a (1, nq) or (nt, nq) product (stacked along a
+leading axis that matmul loops over), each slab adds its sub-regions in
+break order, and each slab and law is one (1, nt) @ (nt, 1) dot added to
+its bump's total in slab order.  So every residual has the bits of its bump
+evaluated alone, and weak_residuals is the one-bump battery.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,15 +107,14 @@ class _UniformStream:
 def _mollifier(xi):
     """(m, m') of m(xi) = exp(1 - 1/(1 - xi^2)) on |xi| < 1, both identically zero outside.
 
-    One exp per node serves both values, computed in place in three node
-    arrays.  Outside the interval w <= 0 makes the arithmetic overflow or
-    divide by zero; only when some node lies there (or is NaN, or there are
-    no nodes) are those nodes found and discarded.
+    One exp per node serves both values, computed in place in two node
+    arrays besides xi.  Outside the interval w <= 0 makes the arithmetic
+    overflow or divide by zero; only when some node lies there (or is NaN,
+    or there are no nodes) are those nodes found and discarded.
     """
     xi = np.asarray(xi, dtype=float)
     w = np.empty_like(xi)
     e = np.empty_like(xi)
-    e_prime = np.empty_like(xi)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # w = 1 - xi^2
         np.square(xi, out=w)
@@ -113,10 +125,14 @@ def _mollifier(xi):
         np.divide(1.0, w, out=e)
         np.subtract(1.0, e, out=e)
         np.exp(e, out=e)
-        # e' = e * (-2 xi / w^2)
-        np.multiply(-2.0, xi, out=e_prime)
+        # e' = e * (-2 xi / w^2), in w's array.  Inside the interval
+        # -2 (xi / w^2) is (-2 xi) / w^2 bit for bit: below |xi| = 1e-8 w is
+        # exactly 1 and both are exact, and above it xi / w^2 is a normal
+        # number, which doubles exactly.
+        e_prime = w
         np.square(w, out=w)
-        np.divide(e_prime, w, out=e_prime)
+        np.divide(xi, w, out=e_prime)
+        np.multiply(-2.0, e_prime, out=e_prime)
         np.multiply(e, e_prime, out=e_prime)
     if all_inside:
         return e, e_prime
@@ -203,14 +219,16 @@ def _component_values(sol, components):
     )
 
 
-def _require_support_inside(sol, box):
+def _support_problem(sol, box):
+    """Why the support box leaves the validity horizon or the domain, or None if it stays inside."""
     t_lo, t_hi, x_lo, x_hi = box
     if not (sol.horizon[0] <= t_lo and t_hi <= sol.horizon[1]):
-        raise DomainError("test-function support leaves the validity horizon")
+        return "test-function support leaves the validity horizon"
     for t in (t_lo, t_hi):
         a, b = sol.endpoints(t)
         if not (a <= x_lo and x_hi <= b):
-            raise DomainError("test-function support leaves the solution domain")
+            return "test-function support leaves the solution domain"
+    return None
 
 
 def _time_cuts(sol, box):
@@ -227,6 +245,140 @@ def _time_cuts(sol, box):
     return sorted(cuts)
 
 
+def battery_residuals(
+    sol: PiecewiseShockSolution,
+    components,
+    bumps,
+    quad: SpacetimeQuadrature = SpacetimeQuadrature(),
+) -> list[list[float]]:
+    """Per bump, the spacetime residuals of the requested laws (see weak_residuals).
+
+    The battery is evaluated in one pass, and each residual has the bits a
+    battery of that bump alone gives.  A bad battery raises what evaluating
+    its bumps one by one raises: the first bad bump's error, its support
+    checked before the component names and its residuals checked for
+    finiteness in component order.
+    """
+    boxes = [h.support() for h in bumps]
+    problems = [_support_problem(sol, box) for box in boxes]
+    n = next((j for j, problem in enumerate(problems) if problem), len(boxes))
+    residuals = []
+    if n:
+        consts = _component_values(sol, components)
+        residuals = _battery_totals(sol, consts, bumps[:n], boxes[:n], quad.rule())
+        for per_law in residuals:
+            for component, total in zip(components, per_law):
+                if not math.isfinite(total):
+                    raise NumericalError(f"non-finite {component} weak residual {total}")
+    if n < len(boxes):
+        raise DomainError(problems[n])
+    return residuals
+
+
+def _battery_totals(sol, consts, bumps, boxes, rule):
+    """Per bump, the quadrature total of each law whose (U, F) constants consts holds."""
+    nodes, weights = rule
+    # The plan, in Python scalars.  A slab is a time interval between two
+    # cuts; its breaks are the box edges and the shocks inside the box at
+    # mid-slab.  A sub-region lies between two breaks, k being its place in
+    # break order; a bound is (x, None) where fixed, (None, shock) where moving.
+    slab_bump, slab_ta, slab_tb = [], [], []
+    fixed, moving = [], []  # sub-regions (slab, k, lo, hi)
+    for j, box in enumerate(boxes):
+        t_lo, t_hi, x_lo, x_hi = box
+        cuts = _time_cuts(sol, box)
+        for ta, tb in zip(cuts, cuts[1:]):
+            s = len(slab_bump)
+            slab_bump.append(j)
+            slab_ta.append(ta)
+            slab_tb.append(tb)
+            t_mid = 0.5 * (ta + tb)
+            breaks = [(x_lo, None)]
+            for i, (x, v) in enumerate(zip(sol.shock_positions_t0, sol.shock_speeds)):
+                if x_lo < x + v * t_mid < x_hi:
+                    breaks.append((None, i) if v else (x, None))
+            breaks.append((x_hi, None))
+            for k, (lo, hi) in enumerate(zip(breaks, breaks[1:])):
+                (fixed if lo[1] is None and hi[1] is None else moving).append((s, k, lo, hi))
+    n_fixed = len(fixed)
+    subs = fixed + moving
+    h_t0, h_x0, h_rt, h_rx = np.array([(h.t0, h.x0, h.rt, h.rx) for h in bumps]).T
+    slab_bump = np.array(slab_bump)
+    sub_slab = np.array([sub[0] for sub in subs])
+    sub_bump = slab_bump[sub_slab]
+
+    # Time factors of every slab, one row of time nodes per slab.
+    ta = np.array(slab_ta)
+    span = np.array(slab_tb) - ta
+    ts = ta[:, None] + span[:, None] * nodes
+    m_t, m_t_prime = _mollifier((ts - h_t0[slab_bump, None]) / h_rt[slab_bump, None])
+    x0, speeds = np.array(sol.shock_positions_t0), np.array(sol.shock_speeds)
+    shock_xs = x0[:, None] + speeds[:, None] * ts[:, None, :]
+
+    def at_nodes(side):
+        """Each sub-region's lo (side 2) or hi (side 3) bound at the time nodes of its slab."""
+        bounds = [sub[side] for sub in subs]
+        xs = np.empty((len(subs), len(nodes)))
+        xs[:] = np.array([0.0 if x is None else x for x, _ in bounds])[:, None]
+        at_shock = [r for r, (_, i) in enumerate(bounds) if i is not None]
+        xs[at_shock] = shock_xs[sub_slab[at_shock], [bounds[r][1] for r in at_shock]]
+        return xs
+
+    lo, hi = at_nodes(2), at_nodes(3)
+    length = hi - lo
+    region = np.count_nonzero(shock_xs[sub_slab] < (0.5 * (lo + hi))[:, None, :], axis=1)
+
+    # Space integrals A(t) of m(xi) and B(t) of m'(xi): one x-row per fixed
+    # sub-region, all in one call, then one x-row per time node for the
+    # moving sub-regions of each slab, one call per slab.
+    sum_m = np.empty_like(length)
+    sum_m_prime = np.empty_like(length)
+    fixed_bump = sub_bump[:n_fixed, None]
+    sum_m[:n_fixed], sum_m_prime[:n_fixed] = _space_sums(
+        length[:n_fixed, :1], lo[:n_fixed, :1], h_x0[fixed_bump], h_rx[fixed_bump], rule
+    )
+    for _, group in itertools.groupby(range(n_fixed, len(subs)), key=lambda r: subs[r][0]):
+        rows = list(group)
+        block = slice(rows[0], rows[-1] + 1)
+        h = bumps[sub_bump[rows[0]]]
+        sum_m[block], sum_m_prime[block] = _space_sums(length[block], lo[block], h.x0, h.rx, rule)
+    terms_a = consts[:, region, 0] * (m_t_prime[sub_slab] * (length * sum_m) / h_rt[sub_bump, None])
+    terms_b = consts[:, region, 1] * (m_t[sub_slab] * (length * sum_m_prime) / h_rx[sub_bump, None])
+
+    # One row per law and slab gathers U a + F b over the slab's
+    # sub-regions in break order.
+    accs = np.zeros((len(consts), len(slab_ta), len(nodes)))
+    places = [sub[1] for sub in subs]
+    for k in range(max(places) + 1):
+        at_k = [r for r, place in enumerate(places) if place == k]
+        accs[:, sub_slab[at_k]] += terms_a[:, at_k]
+        accs[:, sub_slab[at_k]] += terms_b[:, at_k]
+    # One dot per law and slab, each a (1, nt) @ (nt, 1) product: a
+    # matrix-vector product would not sum in the same order.
+    wts = span[:, None] * weights
+    dots = (wts[:, None, :] @ accs[..., None])[..., 0, 0]
+    totals = [[0.0] * len(consts) for _ in bumps]
+    for j, per_law in zip(slab_bump.tolist(), dots.T.tolist()):
+        row = totals[j]
+        for m, d in enumerate(per_law):
+            row[m] += d
+    return totals
+
+
+def _space_sums(length, lo, x0, rx, rule):
+    """(A, B): the sums of m(xi) and m'(xi) over the x-nodes of each sub-region [lo, lo + length].
+
+    Each is a (1, nq) or (nt, nq) product per sub-region, stacked along the
+    leading axis.  The node arrays are freed on return, so one slab's are
+    never alive next to the next one's.
+    """
+    nodes, weights = rule
+    xi = (length / rx)[..., None] * nodes
+    xi += ((lo - x0) / rx)[..., None]
+    m_x, m_x_prime = _mollifier(xi)
+    return m_x @ weights, m_x_prime @ weights
+
+
 def weak_residuals(
     sol: PiecewiseShockSolution,
     components,
@@ -237,7 +389,7 @@ def weak_residuals(
 
     A residual is zero up to quadrature error iff the candidate satisfies
     both the bulk equation and the jump condition of its component wherever
-    h is supported.
+    h is supported.  This is the one-bump battery of battery_residuals.
 
     The bump is the product h = m(tau) m(xi) of tau = (t - t0) / rt and
     xi = (x - x0) / rx, so h_t = m'(tau) m(xi) / rt and
@@ -250,47 +402,15 @@ def weak_residuals(
     and B constant in t and needs one row of x-nodes; only one bounded by a
     moving shock needs a row per time node.  Only the per-region constants
     (U, F) depend on the law, so A and B are shared by every component.
-    """
-    box = h.support()
-    _require_support_inside(sol, box)
-    consts = _component_values(sol, components)
-    nodes, weights = quad.rule()
-    t_lo, t_hi, x_lo, x_hi = box
-    x0 = np.array(sol.shock_positions_t0)
-    speeds = np.array(sol.shock_speeds)
 
-    totals = [0.0] * len(consts)
-    cuts = _time_cuts(sol, box)
-    for ta, tb in zip(cuts, cuts[1:]):
-        ts = ta + (tb - ta) * nodes
-        m_t, m_t_prime = _mollifier((ts - h.t0) / h.rt)
-        shock_xs = x0[:, None] + speeds[:, None] * ts
-        at_mid = x0 + speeds * (0.5 * (ta + tb))
-        # Each break is one value when fixed, one per time node when moving.
-        inside = np.flatnonzero((x_lo < at_mid) & (at_mid < x_hi))
-        shocks = [shock_xs[i] if speeds[i] else x0[i:i + 1] for i in inside]
-        breaks = [np.full(1, x_lo), *shocks, np.full(1, x_hi)]
-        # One row per law; each row gathers U a + F b over the sub-regions.
-        accs = np.zeros((len(consts), len(ts)))
-        for lo, hi in zip(breaks, breaks[1:]):
-            region = np.count_nonzero(shock_xs < 0.5 * (lo + hi), axis=0)
-            length = hi - lo
-            xi = (length / h.rx)[:, None] * nodes
-            xi += ((lo - h.x0) / h.rx)[:, None]
-            m_x, m_x_prime = _mollifier(xi)
-            a = m_t_prime * (length * (m_x @ weights)) / h.rt
-            b = m_t * (length * (m_x_prime @ weights)) / h.rx
-            UF = consts[:, region]
-            accs += UF[..., 0] * a
-            accs += UF[..., 1] * b
-        wts = (tb - ta) * weights
-        # One dot per law: a matrix-vector product would not sum in the same order.
-        for m, acc in enumerate(accs):
-            totals[m] += float(np.dot(wts, acc))
-    for component, total in zip(components, totals):
-        if not math.isfinite(total):
-            raise NumericalError(f"non-finite {component} weak residual {total}")
-    return totals
+    A battery evaluates the node arrays of all its bumps together, but every
+    sum keeps its per-bump shape, because BLAS sums a row of a stacked
+    matrix-vector product in a different order than the row alone: each
+    sub-region's row sums stay a (1, nq) or (nt, nq) product, each slab adds
+    its sub-regions in break order, and each slab and law is one
+    (1, nt) @ (nt, 1) dot, added to the bump's total in slab order.
+    """
+    return battery_residuals(sol, components, [h], quad)[0]
 
 
 def standard_battery(

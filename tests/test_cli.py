@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,32 @@ class TestRhSolve:
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["kind"] == "numerical"
         assert "overflow" in record["error"]["message"]
+
+    @pytest.mark.parametrize("mode,message", [
+        # On this left state the entropy inversion's (gamma - 1) e_ref rho**gamma is 0.
+        ("config", "(gamma - 1) e_ref rho**gamma underflows to 0 at rho=2.346"),
+        # On (1, 0, 0) the left pressure (gamma - 1) e_ref is already 0.
+        ("flags", "downstream pressure underflows to 0 (left pressure 0.0)"),
+    ], ids=["config", "flags"])
+    def test_underflow_is_numerical_error(self, tmp_path, capsys, mode, message):
+        # e_ref = 5e-324 is finite and positive: valid input whose arithmetic underflows.
+        out = str(tmp_path / "out")
+        if mode == "flags":
+            argv = ["--out-dir", out, "rh-solve", "--kind", "ideal_gas_entropy", "--gamma", "1.4",
+                    "--e-ref", "5e-324", "--left", "1,0,0", "--rho-right", "2"]
+        else:
+            cfg = {
+                "model": {"kind": "ideal_gas_entropy", "gamma": 1.4, "e_ref": 5e-324, "c_v": 1.207},
+                "task": {"name": "rh-solve", "left": {"rho": 2.2412, "u": -2.6222, "s": 2.5039},
+                         "rho_right": 2.346, "branch": "inadmissible"},
+            }
+            argv = ["--config", write_config(tmp_path, cfg), "--out-dir", out]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)["error"]
+        assert (record["kind"], record["message"]) == ("numerical", message)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", ["flags", "jump"])
     def test_flux_overflow_is_numerical_error(self, tmp_path, capsys, mode):
@@ -754,6 +781,44 @@ class TestFvRun:
         assert main(["--config", write_config(tmp_path, cfg)]) == 0
         assert v_s == pytest.approx(-1.9799, abs=1e-4)
         assert read_summary(tmp_path, "fv_run")["measured_v_s"] == pytest.approx(v_s, rel=0.01)
+
+
+def _tiny_t_final_run(tmp_path, t_final):
+    cfg = {
+        "model": {"kind": "barotropic_polytropic", "K": 2.0 / 3.0, "gamma": 2.0},
+        "solution": {"states": [{"rho": 1.0, "u": 2.0}, {"rho": 2.0, "u": 1.0}],
+                     "shock_positions": [0.0], "shock_speeds": [0.0]},
+        "task": {"name": "fv-run", "n_cells": 64, "snapshots": 0, "t_final": t_final},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    # Any numpy RuntimeWarning would be a second thing on stderr.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(["--config", write_config(tmp_path, cfg)])
+
+
+class TestFvRunTinyTFinal:
+    """A trajectory whose times all square to 0 cannot be fitted; one a little longer still is."""
+
+    @pytest.mark.parametrize("t_final", [1e-300, 1e-200])
+    def test_unfittable_trajectory_is_numerical_error(self, tmp_path, capsys, t_final):
+        assert _tiny_t_final_run(tmp_path, t_final) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)["error"]
+        assert record["kind"] == "numerical"
+        assert record["message"] == (f"shock trajectory times up to {t_final!r} are too short to fit a speed"
+                                     " (their squares underflow)")
+        assert not (tmp_path / "out").exists()
+
+    def test_short_fittable_trajectory_runs(self, tmp_path, capsys):
+        assert _tiny_t_final_run(tmp_path, 1e-30) == 0
+        assert capsys.readouterr().err == ""
+        summary = read_summary(tmp_path, "fv_run")
+        assert (summary["t_final"], summary["n_steps"]) == (1e-30, 1)
+        assert summary["shock_position_series"] == [[0, 0], [1e-30, 0]]
+        assert summary["measured_v_s"] == 0
+        assert summary["audit"]["pass"] is True
 
 
 class TestFvRunValidation:

@@ -78,3 +78,14 @@ class TestPlaceCounts:
         _write(a, "run.json", json.dumps({"v": 1.0}))
         _write(b, "run.json", json.dumps({"v": None}))
         assert _compare(a, b) == {**NOTHING, "text": 1}
+
+
+class TestWorkloadsFlag:
+    def test_default_is_every_deck(self):
+        assert corpus_diff.parse_args(["a", "b"]).workloads is None
+        args = corpus_diff.parse_args(["a", "b", "--workloads", "weak_battery", "jump_sweep"])
+        assert args.workloads == ["weak_battery", "jump_sweep"]
+
+    def test_unknown_name_stops_before_any_run(self, tmp_path):
+        with pytest.raises(SystemExit, match="unknown workload.*no_such_deck"):
+            corpus_diff.main([str(tmp_path / "a"), str(tmp_path / "b"), "--workloads", "no_such_deck"])

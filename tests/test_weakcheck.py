@@ -20,10 +20,12 @@ from shockaudit.errors import DomainError, InvalidStateError, NumericalError
 from shockaudit.rh import hugoniot_solve, rh_residuals
 from shockaudit.shock1d import Domain1D, PiecewiseShockSolution, stationary_shock_example
 from shockaudit.weakcheck import (
+    COMPONENTS,
     BumpTestFunction,
     SpacetimeQuadrature,
     _mollifier,
     _UniformStream,
+    battery_residuals,
     mass_integral,
     moving_domain_mass_rate,
     standard_battery,
@@ -44,7 +46,7 @@ def perturbed_example(du=0.1):
 
 def _special_points():
     below_one = np.nextafter(1.0, 0.0)
-    return [1.0, -1.0, below_one, -below_one, 0.0, -0.0, 1e-300]
+    return [1.0, -1.0, below_one, -below_one, 0.0, -0.0, 1e-300, 5e-324, -1e-310, 1e-8, 1.1e-8]
 
 
 def _mollifier_inputs():
@@ -55,7 +57,7 @@ def _mollifier_inputs():
         yield f"scalar{v!r}", v
     yield "column", rng.uniform(-1.2, 1.2, (64, 1))
     grid = rng.uniform(-1.2, 1.2, (64, 128))
-    grid[0, :7] = _special_points()
+    grid[0, :len(_special_points())] = _special_points()
     yield "tensor", grid
     # Wholly inside (-1, 1): the one input class with no node to discard.
     yield "inside", rng.uniform(-0.999, 0.999, (128, 128))
@@ -428,6 +430,112 @@ class TestNodeCount:
         nodes, weights = quad.rule()
         assert nodes.shape == weights.shape == (128,)
         assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+def _hex(residuals):
+    return [[float.hex(r) for r in per_law] for per_law in residuals]
+
+
+def one_sided_overflow():
+    """Finite fluxes left of x = 0; right of it the momentum flux (rho u) u overflows to inf."""
+    return PiecewiseShockSolution(
+        model=GasModel.barotropic(K=1.0, gamma=1.01),
+        states=(FluidState(1.0, 0.5), FluidState(1e200, 1e60)),
+        shock_positions_t0=(0.0,),
+        shock_speeds=(0.0,),
+    )
+
+
+LEFT_BULK = BumpTestFunction(0.25, -0.5, 0.1, 0.2)
+RIGHT_BULK = BumpTestFunction(0.25, 0.5, 0.1, 0.2)
+OUTSIDE = BumpTestFunction(0.25, 0.9, 0.15, 0.3)
+
+PRECEDENCE_CASES = [
+    # (case, bumps, components, error, message): the loop's first bad bump wins.
+    ("non-finite-before-outside", [LEFT_BULK, RIGHT_BULK, OUTSIDE], ("mass", "momentum"),
+     NumericalError, "non-finite momentum"),
+    ("outside-before-non-finite", [LEFT_BULK, OUTSIDE, RIGHT_BULK], ("mass", "momentum"),
+     DomainError, "leaves the solution domain"),
+    ("first-outside-before-names", [OUTSIDE, LEFT_BULK], ("mass", "vorticity"),
+     DomainError, "leaves the solution domain"),
+    ("names-before-later-outside", [LEFT_BULK, OUTSIDE], ("mass", "vorticity"),
+     InvalidStateError, "vorticity"),
+]
+
+
+class TestBattery:
+    """battery_residuals: one pass over all bumps, each residual as its one-bump battery."""
+
+    @pytest.mark.parametrize("name,bumps,components,error,message", PRECEDENCE_CASES,
+                             ids=[c[0] for c in PRECEDENCE_CASES])
+    def test_error_of_the_first_bad_bump(self, name, bumps, components, error, message):
+        sol = one_sided_overflow()
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(error, match=message) as loop:
+                for bump in bumps:
+                    weak_residuals(sol, components, bump)
+            with pytest.raises(error) as battery:
+                battery_residuals(sol, components, bumps)
+        assert str(battery.value) == str(loop.value)
+
+    def test_empty_battery_checks_nothing(self):
+        # As a loop over no bumps: not even the component names.
+        assert battery_residuals(stationary_shock_example(2.0), ("vorticity",), []) == []
+
+    @pytest.mark.parametrize("case", ["stationary", "moving", "two-shock", "fixed-and-moving"])
+    def test_one_pass_per_battery(self, case, count):
+        # One call for every slab's time factors and one for every fixed
+        # sub-region; the moving sub-regions of a slab share one more.
+        _, sol, h = next(c for c in SLAB_CASES if c[0] == case)
+        weak_residuals(sol, ("mass",), h)
+        single = (count.calls, count.nodes)
+        count.calls = count.nodes = 0
+        battery_residuals(sol, ("mass",), [h] * 5)
+        moving_slabs = single[0] - 2
+        assert count.calls == 2 + 5 * moving_slabs
+        assert count.nodes == 5 * single[1]
+
+    def test_property_battery_bit_equal_to_one_bump_batteries(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def solutions(draw):
+            n = draw(st.integers(1, 3))
+            # Shocks 0.6 apart at speeds of at most 0.4 meet no sooner than
+            # t = 0.75, so every bump below fits in the validity horizon.
+            xs = tuple(-0.8 + 0.6 * i for i in range(n))
+            speeds = tuple(draw(st.sampled_from([0.0, 0.0, -0.4, -0.15, 0.25, 0.4])) for _ in range(n))
+            states = tuple(
+                FluidState(draw(st.floats(0.5, 3.0)), draw(st.floats(-1.0, 1.0))) for _ in range(n + 1)
+            )
+            model = GasModel.barotropic(K=draw(st.floats(0.3, 2.0)), gamma=draw(st.floats(1.1, 3.0)))
+            domain = Domain1D(-2.0, 2.0, draw(st.sampled_from(["fixed", "material"])))
+            return PiecewiseShockSolution(model=model, states=states, shock_positions_t0=xs,
+                                          shock_speeds=speeds, domain=domain)
+
+        @st.composite
+        def bumps(draw, sol):
+            t0 = draw(st.floats(0.15, 0.35))
+            shock = draw(st.none() | st.integers(0, len(sol.shock_speeds) - 1))
+            if shock is None:
+                x0 = draw(st.floats(-1.0, 1.0))
+            else:
+                x0 = sol.shock_position(shock, t0) + draw(st.floats(-0.1, 0.1))
+            return BumpTestFunction(t0, x0, draw(st.floats(0.03, 0.14)), draw(st.floats(0.05, 0.4)))
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.given(data=st.data())
+        def check(data):
+            sol = data.draw(solutions())
+            battery = data.draw(st.lists(bumps(sol), min_size=1, max_size=9))
+            components = data.draw(st.lists(st.sampled_from(COMPONENTS), min_size=1, max_size=3, unique=True))
+            quad = SpacetimeQuadrature(order=data.draw(st.integers(2, 6)), panels=data.draw(st.integers(1, 5)))
+            together = battery_residuals(sol, components, battery, quad)
+            alone = [battery_residuals(sol, components, [h], quad)[0] for h in battery]
+            assert _hex(together) == _hex(alone)
+
+        check()
 
 
 class TestQuadratureGuards:

@@ -1,14 +1,16 @@
 """Byte-compare every audit of the benchmark corpus between two source trees.
 
-    python3 tools/corpus_diff.py SRC_A SRC_B [--seeds 1 2 3]
+    python3 tools/corpus_diff.py SRC_A SRC_B [--seeds 1 2 3] [--workloads NAME ...]
 
 SRC_A and SRC_B are directories holding the `shockaudit` package (a
-checkout's `src/`).  The four `bench/` decks are built once per seed through
-`bench/workloads.build_deck`; each tree then runs every audit through
-`shockaudit.cli.main`, in its own process, tree B in reverse order.  For
-each audit the exit status, stdout, stderr and every file written to the
-output directory are compared.  The number of differing audits is printed
-per workload, and the exit status is 1 if any audit differs.  For a
+checkout's `src/`).  The `bench/` decks named by --workloads (default: all
+four) are built once per seed through `bench/workloads.build_deck`, so
+`--workloads weak_battery` byte-checks a weak-verify change in seconds.
+Each tree then runs every audit through `shockaudit.cli.main`, in its own
+process, tree B in reverse order.  For each audit the exit status, stdout,
+stderr and every file written to the output directory are compared.  The
+number of differing audits is printed per workload, and the exit status is
+1 if any audit differs.  For a
 workload with differing audits, the two trees' JSON and CSV artifacts are
 also compared place by place (same key path, same row and column):
 - the largest absolute difference between numbers at the same place, so a
@@ -164,6 +166,8 @@ def parse_args(argv=None):
     parser.add_argument("src_a", help="first source tree (directory holding shockaudit/)")
     parser.add_argument("src_b", help="second source tree, run in reverse order")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--workloads", nargs="+", metavar="NAME",
+                        help="bench/ decks to run, in this order (default: all)")
     return parser.parse_args(argv)
 
 
@@ -180,9 +184,13 @@ def main(argv=None) -> int:
     sys.path.insert(0, BENCH_DIR)
     from workloads import WORKLOADS, build_deck
 
+    workloads = args.workloads or list(WORKLOADS)
+    unknown = [name for name in workloads if name not in WORKLOADS]
+    if unknown:
+        sys.exit(f"corpus_diff: unknown workload(s) {', '.join(unknown)}; known: {', '.join(WORKLOADS)}")
     with tempfile.TemporaryDirectory(prefix="corpus_diff-") as work:
         audits = []  # (workload, seed, case label, argv, output directory)
-        for workload in WORKLOADS:
+        for workload in workloads:
             for seed in args.seeds:
                 work_dir = os.path.join(work, f"{workload}-{seed}")
                 out_dir = os.path.join(work_dir, "out")
@@ -203,12 +211,12 @@ def main(argv=None) -> int:
             runs.append(_spawn(os.path.abspath(src), job, os.path.join(work, f"result-{name}.json")))
         records_a, records_b = runs[0], runs[1][::-1]
 
-        differing = {workload: 0 for workload in WORKLOADS}
+        differing = {workload: 0 for workload in workloads}
         places = {workload: {"largest": 0.0, "one_sided": 0, "sign_of_zero": 0, "text": 0}
-                  for workload in WORKLOADS}
+                  for workload in workloads}
         # Workloads with a differing audit that the sign of zero does not explain.
         not_sign_only = set()
-        statuses = {workload: {} for workload in WORKLOADS}
+        statuses = {workload: {} for workload in workloads}
         for i, ((workload, seed, label, _, _), a, b) in enumerate(zip(audits, records_a, records_b)):
             tally = statuses[workload]
             tally[str(a["status"])] = tally.get(str(a["status"]), 0) + 1
