@@ -25,14 +25,12 @@ mallopt (macOS, Windows) nothing is changed.
 Exit status: 0 all configured audits passed, 1 an audit failed, 2 the
 configuration or the command line could not be parsed, 3 it failed
 validation (an unusable output.dir included), 4 a numerical procedure
-failed (an array size too large to allocate included).  Set SHOCKAUDIT_LOG
-(debug/info/warning) to control log verbosity.
+failed (an array size too large to allocate included).
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from functools import cache, partial
@@ -48,20 +46,13 @@ from .errors import (
 )
 from .lagrangian_maps import augmented_energy_rate, calibrate_lambda
 from .rh import gated_residual, hugoniot_solve, rh_residuals
-from .shock1d import stationary_shock_example, volume_potential_mismatch
+from .shock1d import volume_potential_mismatch
 
 EXIT_OK = 0
 EXIT_AUDIT = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
-
-log = logging.getLogger("shockaudit")
-
-
-def _setup_logging():
-    level = os.environ.get("SHOCKAUDIT_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
 def _text(flag: str, text: str) -> str:
@@ -210,15 +201,13 @@ def _csv_text(header, columns) -> str:
 
 
 def _run_shock_example(cfg: RunConfig):
-    gamma = float(cfg.task["gamma"])
-    sol = stationary_shock_example(gamma)
+    sol = cfg.solution
     residuals = [rh_residuals(j, sol.model) for j in sol.jumps()]
     dedt, neg_dvdt, gap = volume_potential_mismatch(sol)
     tol = cfg.tolerances["residual"]
     worst = max(gated_residual(r, sol.model) for r in residuals)
     summary = {
-        "task": "shock-example",
-        "gamma": gamma,
+        "gamma": cfg.task["gamma"],
         "K": sol.model.K,
         "states": [cfgmod.state_to_dict(s) for s in sol.states],
         "v_s": sol.shock_speeds[0],
@@ -226,7 +215,6 @@ def _run_shock_example(cfg: RunConfig):
         "length_rate": neg_dvdt,
         "gap": gap,
         "residuals": residuals[0].as_dict(),
-        "model": cfgmod.model_to_dict(sol.model),
         "solution": cfgmod.solution_to_dict(sol),
         "audit": {"max_residual": worst, "tolerance": tol, "pass": worst <= tol},
     }
@@ -242,22 +230,17 @@ def _run_shock_example(cfg: RunConfig):
 
 
 def _run_energy_audit(cfg: RunConfig):
-    if cfg.solution is not None:
-        sol = cfg.solution
-    else:
-        sol = stationary_shock_example(float(cfg.task["gamma"]))
+    sol = cfg.solution
     dedt, neg_dvdt, gap = volume_potential_mismatch(sol)
     lam_l, lam_r = calibrate_lambda(sol)
     aug = augmented_energy_rate(sol, (lam_l, lam_r))
     tol = cfg.tolerances["augmented"]
     summary = {
-        "task": "energy-audit",
         "dEdt": dedt,
         "neg_dVdt_volume": neg_dvdt,
         "gap": gap,
         "lambda_calibrated": {"left": lam_l, "right": lam_r},
         "augmented_rate": aug,
-        "model": cfgmod.model_to_dict(sol.model),
         "solution": cfgmod.solution_to_dict(sol),
         "audit": {"augmented_rate": aug, "tolerance": tol, "pass": abs(aug) <= tol},
     }
@@ -280,9 +263,8 @@ def _run_rh_solve(cfg: RunConfig):
         summary = {"mode": "audit", "jump": cfgmod.jump_to_dict(jump)}
     else:
         left = cfgmod.state_from_dict(cfg.task["left"], "task.left")
-        rho_right = float(cfg.task["rho_right"])
-        branch = cfg.task.get("branch", "admissible")
-        jump = hugoniot_solve(left, rho_right, model, branch=branch)
+        branch = cfg.task["branch"]
+        jump = hugoniot_solve(left, cfg.task["rho_right"], model, branch=branch)
         summary = {
             "mode": "solve",
             "branch": branch,
@@ -296,9 +278,7 @@ def _run_rh_solve(cfg: RunConfig):
     res = rh_residuals(jump, model)
     worst = gated_residual(res, model)
     summary.update(
-        task="rh-solve",
         residuals=res.as_dict(),
-        model=cfgmod.model_to_dict(model),
         audit={"max_residual": worst, "tolerance": tol, "pass": worst <= tol},
     )
     rows = list(summary["residuals"].items())
@@ -315,21 +295,19 @@ def _run_fv(cfg: RunConfig):
     model = cfg.model
     sol = cfg.solution
     task = cfg.task
-    t_final = float(task["t_final"])
 
     grid = Grid1D(sol.domain.x_min, sol.domain.x_max, task["n_cells"])
     field0 = field_from_solution(model, grid, sol)
-    snaps = Snapshots(np.linspace(0.0, t_final, task["snapshots"]), t_final)
+    snaps = Snapshots(np.linspace(0.0, task["t_final"], task["snapshots"]), task["t_final"])
     track = ShockTrack(grid)
     result = simulate(
-        model, grid, field0, t_final, cfl=float(task["cfl"]), bc=task["bc"],
+        model, grid, field0, task["t_final"], cfl=task["cfl"], bc=task["bc"],
         observers=[snaps, track],
     )
     measurement = measure_shock(model, grid, result.field, trajectory=track.points)
     tol = cfg.tolerances["conservation"]
     drift = float(np.max(result.conservation_drift))
     summary = {
-        "task": "fv-run",
         "n_cells": task["n_cells"],
         "t_final": result.t,
         "n_steps": result.n_steps,
@@ -341,7 +319,6 @@ def _run_fv(cfg: RunConfig):
         "measured_residuals": measurement.residual.as_dict(),
         "measured_position": measurement.position,
         "measured_v_s": measurement.jump.v_s,
-        "model": cfgmod.model_to_dict(model),
         "audit": {"max_drift": drift, "tolerance": tol, "pass": drift <= tol},
     }
 
@@ -363,18 +340,12 @@ def _run_weak_verify(cfg: RunConfig):
 
     sol = cfg.solution
     task = cfg.task
-    default_components = ["mass", "momentum"]
-    if sol.model.carries_entropy:
-        default_components.append("energy")
-    components = task.get("components", default_components)
-    quad = SpacetimeQuadrature(order=task.get("order", 8), panels=task.get("panels", 16))
+    components = task["components"]
+    quad = SpacetimeQuadrature(order=task["order"], panels=task["panels"])
     if "bumps" in task:
-        bumps = [
-            BumpTestFunction(float(b["t0"]), float(b["x0"]), float(b["rt"]), float(b["rx"]))
-            for b in task["bumps"]
-        ]
+        bumps = [BumpTestFunction(**b) for b in task["bumps"]]
     else:
-        bumps = standard_battery(sol, count=task.get("count", 20), seed=task.get("seed", 0))
+        bumps = standard_battery(sol, count=task["count"], seed=task["seed"])
     tol = cfg.tolerances["weak_residual"]
     # One quadrature pass for the whole battery; rows stay component-major.
     residuals = battery_residuals(sol, components, bumps, quad)
@@ -386,11 +357,9 @@ def _run_weak_verify(cfg: RunConfig):
             worst = max(worst, abs(r))
             rows.append((comp, bump.t0, bump.x0, bump.rt, bump.rx, r))
     summary = {
-        "task": "weak-verify",
         "components": list(components),
         "n_bumps": len(bumps),
         "max_abs_residual": worst,
-        "model": cfgmod.model_to_dict(sol.model),
         "solution": cfgmod.solution_to_dict(sol),
         "audit": {"max_abs_residual": worst, "tolerance": tol, "pass": worst <= tol},
     }
@@ -411,7 +380,6 @@ def _emit(cfg: RunConfig, summary, header, columns):
     """Write the artifacts, then stdout; an unusable output.dir is a ConfigError."""
     out_dir = cfg.output["dir"]
     stem = cfg.task_name.replace("-", "_")
-    log.info("writing %s artifacts to %s", cfg.task_name, out_dir)
     text = dumps_deterministic(summary) + "\n"
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -431,11 +399,10 @@ def _error_record(status: int, kind: str, message: str) -> str:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     try:
         cfg = _resolve_config(_build_parser().parse_args(argv))
-        log.debug("running task %s", cfg.task_name)
         summary, header, columns = _TASKS[cfg.task_name](cfg)
+        summary.update(task=cfg.task_name, model=cfgmod.model_to_dict(cfg.model))
         _emit(cfg, summary, header, columns)
         return EXIT_OK if summary["audit"]["pass"] else EXIT_AUDIT
     except ConfigParseError as exc:

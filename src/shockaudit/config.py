@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .eos import FluidState, GasKind, GasModel
 from .errors import ConfigError, ConfigParseError, InvalidStateError
 from .rh import RESIDUAL_TOL, ShockJump, gated_residual, rh_residuals
-from .shock1d import Domain1D, PiecewiseShockSolution
+from .shock1d import Domain1D, PiecewiseShockSolution, stationary_shock_example
 
 TOLERANCE_DEFAULTS = {
     "residual": RESIDUAL_TOL,
@@ -23,22 +23,21 @@ TOLERANCE_DEFAULTS = {
     "augmented": 1e-12,
 }
 
-FV_DEFAULTS = {"n_cells": 400, "t_final": 0.5, "cfl": 0.45, "bc": "outflow", "snapshots": 3}
-
-TASK_NAMES = ("rh-solve", "shock-example", "energy-audit", "fv-run", "weak-verify")
-
-_TASK_KEYS = {
-    "rh-solve": {"name", "left", "rho_right", "branch", "jump"},
-    "shock-example": {"name", "gamma"},
-    "energy-audit": {"name", "gamma"},
-    "fv-run": {"name", *FV_DEFAULTS},
-    "weak-verify": {"name", "components", "count", "seed", "order", "panels", "bumps"},
+# One row per task: its task-block keys, each with its default (None: no
+# default); the top-level blocks it reads besides task, tolerances and output
+# (any other block would be ignored); and those it cannot run without.
+TASKS = {
+    "rh-solve": ({"left": None, "rho_right": None, "branch": "admissible", "jump": None},
+                 ("model",), ("model",)),
+    "shock-example": ({"gamma": None}, (), ()),
+    "energy-audit": ({"gamma": None}, ("model", "solution"), ()),
+    "fv-run": ({"n_cells": 400, "t_final": 0.5, "cfl": 0.45, "bc": "outflow", "snapshots": 3},
+               ("model", "solution"), ("model", "solution")),
+    "weak-verify": ({"components": None, "count": 20, "seed": 0, "order": 8, "panels": 16, "bumps": None},
+                    ("model", "solution"), ("model", "solution")),
 }
 
-# The top-level blocks each task reads besides task, tolerances and output;
-# any other block would be ignored.
-_TASK_BLOCKS = {"rh-solve": {"model"}, "shock-example": set(), "energy-audit": {"model", "solution"},
-                "fv-run": {"model", "solution"}, "weak-verify": {"model", "solution"}}
+TASK_NAMES = tuple(TASKS)
 
 
 def _check_keys(block: dict, allowed, required, where: str) -> None:
@@ -53,8 +52,8 @@ def _check_keys(block: dict, allowed, required, where: str) -> None:
 
 
 def _require_int(task: dict, key: str, minimum: int) -> None:
-    """task[key], when given, must be an integer (not a bool) of at least minimum."""
-    value = task.get(key, minimum)
+    """task[key] must be an integer (not a bool) of at least minimum."""
+    value = task[key]
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"task.{key} must be an integer >= {minimum}, got {value!r}")
 
@@ -89,11 +88,13 @@ def _validate_weak_task(task: dict) -> None:
     for key in ("components", "bumps"):
         if key in task and not (isinstance(task[key], list) and task[key]):
             raise ConfigError(f"task.{key} must be a non-empty list")
-    keys = {"t0", "x0", "rt", "rx"}
+    keys = ("rt", "rx", "t0", "x0")
+    bumps = []  # new dicts: the caller's bumps keep their JSON numbers
     for i, bump in enumerate(task.get("bumps", [])):
         _check_keys(bump, keys, keys, f"task.bumps[{i}]")
-        for key in sorted(keys):
-            _real(bump[key], f"task.bumps[{i}].{key}")
+        bumps.append({key: _real(bump[key], f"task.bumps[{i}].{key}") for key in keys})
+    if bumps:
+        task["bumps"] = bumps
 
 
 def _validate_fv_task(task: dict) -> None:
@@ -236,23 +237,25 @@ def task_name(raw: dict) -> str:
 
 
 def validate_config(raw: dict) -> RunConfig:
-    """Validate a raw configuration mapping into a RunConfig (strict mode)."""
+    """Validate raw (strict mode) into a RunConfig whose new task block has defaults filled, reals as floats."""
     name = task_name(raw)
-    unread = sorted(set(raw) - {"task", "tolerances", "output"} - _TASK_BLOCKS[name])
+    keys, reads, needs = TASKS[name]
+    unread = sorted(set(raw) - {"task", "tolerances", "output"} - set(reads))
     if unread:
         raise ConfigError(f"task {name!r} does not read the {unread} block(s)")
-    task_block = raw["task"]
-    _check_keys(task_block, _TASK_KEYS[name], {"name"}, "task")
-    for key in ("gamma", "rho_right"):
-        if key in task_block:
-            _real(task_block[key], f"task.{key}")
-    if task_block.get("branch", "admissible") not in ("admissible", "inadmissible"):
-        raise ConfigError(f"task.branch must be 'admissible' or 'inadmissible', got {task_block['branch']!r}")
+    given = raw["task"]
+    _check_keys(given, {"name", *keys}, {"name"}, "task")
+    task_block = {key: value for key, value in keys.items() if value is not None}
+    task_block.update(given)
     if name == "weak-verify":
         _validate_weak_task(task_block)
     elif name == "fv-run":
-        task_block = {**FV_DEFAULTS, **task_block}
         _validate_fv_task(task_block)
+    for key in ("gamma", "rho_right", "t_final", "cfl"):
+        if key in task_block:
+            task_block[key] = _real(task_block[key], f"task.{key}")
+    if task_block.get("branch", "admissible") not in ("admissible", "inadmissible"):
+        raise ConfigError(f"task.branch must be 'admissible' or 'inadmissible', got {task_block['branch']!r}")
 
     tolerances = dict(TOLERANCE_DEFAULTS)
     if "tolerances" in raw:
@@ -286,23 +289,21 @@ def validate_config(raw: dict) -> RunConfig:
             if not bad <= tolerances["residual"]:  # NaN fails too
                 raise InvalidStateError(f"shock {i} violates the jump conditions (residual {bad:.3e})")
 
-    needs_model = {"rh-solve", "fv-run", "weak-verify"}
-    if name in needs_model and model is None:
-        raise ConfigError(f"task {name!r} needs a model block")
-    if name in ("fv-run", "weak-verify") and solution is None:
-        raise ConfigError(f"task {name!r} needs a solution block")
+    for block in needs:
+        if block not in raw:
+            raise ConfigError(f"task {name!r} needs a {block} block")
     if name == "shock-example" and "gamma" not in task_block:
         raise ConfigError("task 'shock-example' needs gamma")
     if name == "energy-audit" and ("gamma" in task_block) == (solution is not None):
         raise ConfigError("task 'energy-audit' needs exactly one of gamma and a solution block")
     if name == "energy-audit" and "gamma" in task_block and model is not None:
         raise ConfigError("task 'energy-audit' takes gamma or a model block, not both")
-    if name == "weak-verify" and "bumps" in task_block:
-        battery_keys = sorted({"count", "seed"} & set(task_block))
+    if name == "weak-verify" and "bumps" in given:
+        battery_keys = sorted({"count", "seed"} & set(given))
         if battery_keys:
             raise ConfigError(f"task 'weak-verify' takes bumps or {battery_keys}, not both")
-    if name == "rh-solve" and "jump" in task_block:
-        solve_keys = sorted({"left", "rho_right", "branch"} & set(task_block))
+    if name == "rh-solve" and "jump" in given:
+        solve_keys = sorted({"left", "rho_right", "branch"} & set(given))
         if solve_keys:
             raise ConfigError(f"task 'rh-solve' takes a jump block or {solve_keys}, not both")
     elif name == "rh-solve":
@@ -310,7 +311,13 @@ def validate_config(raw: dict) -> RunConfig:
             if key not in task_block:
                 raise ConfigError(f"task 'rh-solve' needs {key!r} (or a jump block)")
 
-    return RunConfig(name, dict(task_block), model, solution, tolerances, output)
+    if name == "weak-verify":
+        laws = ["mass", "momentum", "energy"]
+        task_block.setdefault("components", laws if model.carries_entropy else laws[:2])
+    if "gamma" in task_block:  # shock-example, or energy-audit without a solution block
+        solution = stationary_shock_example(task_block["gamma"])
+        model = solution.model
+    return RunConfig(name, task_block, model, solution, tolerances, output)
 
 
 def load_config(path: str) -> dict:

@@ -227,9 +227,11 @@ def entropy_density_from_pressure(model: GasModel, rho, p):
     if not (positive.all() if _is_array(positive) else positive):
         raise InvalidStateError(f"need positive rho and p, got rho={rho}, p={p}")
     scale = (model.gamma - 1.0) * model.e_ref * rho ** model.gamma
-    # Positive factors whose product underflows (a subnormal e_ref, say).
-    underflow = scale == 0.0
-    if underflow.any() if _is_array(underflow) else underflow:
-        raise NumericalError(f"(gamma - 1) e_ref rho**gamma underflows to 0 at rho={rho}")
+    # A scale or pressure below the normal range (a tiny e_ref, say) leaves the
+    # logarithm too few significant bits: none at 0, a few in a subnormal.
+    for what, value in (("(gamma - 1) e_ref rho**gamma", scale), ("pressure", p)):
+        least = value.min() if _is_array(value) else value
+        if least < sys.float_info.min:
+            raise NumericalError(f"{what} underflows to {'a subnormal' if least else '0'} at rho={rho}")
     S = model.c_v * _lib(p).log(p / scale)
     return rho * S

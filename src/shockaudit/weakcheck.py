@@ -265,7 +265,9 @@ def battery_residuals(
     residuals = []
     if n:
         consts = _component_values(sol, components)
-        residuals = _battery_totals(sol, consts, bumps[:n], boxes[:n], quad.rule())
+        # An overflowing product or sum becomes a non-finite total, refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            residuals = _battery_totals(sol, consts, bumps[:n], boxes[:n], quad.rule())
         for per_law in residuals:
             for component, total in zip(components, per_law):
                 if not math.isfinite(total):

@@ -1,3 +1,4 @@
+import copy
 import ctypes
 import json
 import math
@@ -16,6 +17,7 @@ import shockaudit
 from shockaudit import cli
 from shockaudit.cli import main
 from shockaudit.config import (
+    TASK_NAMES,
     dumps_deterministic,
     format_float,
     jump_from_dict,
@@ -172,6 +174,27 @@ class TestRhSolve:
         assert (record["kind"], record["message"]) == ("numerical", message)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("e_ref,left,message", [
+        # (gamma - 1) e_ref = 4e-321 is subnormal: s_right used to come out 1% off.
+        ("1e-320", "1,0,0", "(gamma - 1) e_ref rho**gamma underflows to a subnormal at rho=2.0"),
+        # exp(-720) makes both pressures subnormal on a normal scale.
+        ("1", "1,0,-720", "pressure underflows to a subnormal at rho=2.0"),
+    ], ids=["scale", "pressure"])
+    def test_subnormal_is_numerical_error(self, tmp_path, capsys, e_ref, left, message):
+        argv = ["--out-dir", str(tmp_path / "out"), "rh-solve", "--kind", "ideal_gas_entropy",
+                "--gamma", "1.4", "--e-ref", e_ref, "--left", left, "--rho-right", "2"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == {"status": 4, "kind": "numerical", "message": message}
+        assert not (tmp_path / "out").exists()
+
+    def test_smallest_normal_scale_keeps_its_answer(self, tmp_path, capsys):
+        argv = ["--out-dir", str(tmp_path / "out"), "rh-solve", "--kind", "ideal_gas_entropy",
+                "--gamma", "1.4", "--e-ref", "1e-300", "--left", "1,0,0", "--rho-right", "2"]
+        assert main(argv) == 0
+        assert '"s_right": 0.082389717789113179,' in capsys.readouterr().out
+
     @pytest.mark.parametrize("mode", ["flags", "jump"])
     def test_flux_overflow_is_numerical_error(self, tmp_path, capsys, mode):
         # u = 1e150 squares within the double range, but the energy flux
@@ -284,6 +307,50 @@ class TestConfigErrors:
         doc = {"task": {"name": "shock-example", "gamma": 2.0}, "tolerances": {"admissibility": 1e-12}}
         with pytest.raises(ConfigError, match="admissibility"):
             validate_config(doc)
+
+
+def _valid_doc(name):
+    """One valid document per task, its numbers JSON integers where a float is allowed."""
+    if name == "rh-solve":
+        return {"model": {"kind": "barotropic_polytropic", "K": 1, "gamma": 2},
+                "task": {"name": name, "left": {"rho": 1, "u": 2}, "rho_right": 2}}
+    if name in ("shock-example", "energy-audit"):
+        return {"task": {"name": name, "gamma": 2}}
+    if name == "fv-run":
+        return dict(_baro_stationary_shock(), task={"name": name, "n_cells": 8, "t_final": 1, "cfl": 1})
+    return dict(_baro_stationary_shock(), task={"name": name, "bumps": [{"t0": 0, "x0": 0, "rt": 1, "rx": 1}]})
+
+
+class TestValidatedTask:
+    """validate_config returns a finished task block and leaves its input as it was."""
+
+    @pytest.mark.parametrize("name", TASK_NAMES)
+    def test_input_unchanged_and_repeatable(self, name):
+        doc = _valid_doc(name)
+        before = copy.deepcopy(doc)
+        first = validate_config(doc)
+        # json.dumps tells 1 from 1.0, which == does not.
+        assert json.dumps(doc, sort_keys=True) == json.dumps(before, sort_keys=True)
+        expected = copy.deepcopy(first.task)
+        assert validate_config(doc).task == expected
+        assert first.task == expected
+
+    def test_defaults_filled_and_reals_floats(self):
+        rh = validate_config(_valid_doc("rh-solve")).task
+        assert rh["branch"] == "admissible" and type(rh["rho_right"]) is float
+        fv = validate_config(_valid_doc("fv-run")).task
+        assert (fv["bc"], fv["snapshots"], type(fv["t_final"]), type(fv["cfl"])) == ("outflow", 3, float, float)
+        weak = validate_config(_valid_doc("weak-verify")).task
+        assert {key: weak[key] for key in ("components", "count", "seed", "order", "panels")} == {
+            "components": ["mass", "momentum"], "count": 20, "seed": 0, "order": 8, "panels": 16}
+        assert [type(v) for v in weak["bumps"][0].values()] == [float] * 4
+
+    @pytest.mark.parametrize("name", ["shock-example", "energy-audit"])
+    def test_gamma_gives_the_reference_shock(self, name):
+        cfg = validate_config(_valid_doc(name))
+        assert cfg.task["gamma"] == 2.0 and type(cfg.task["gamma"]) is float
+        assert cfg.solution == stationary_shock_example(2.0)
+        assert cfg.model == cfg.solution.model
 
 
 class TestJumpGate:
@@ -1005,7 +1072,7 @@ class TestRepeatedMain:
 # Runs each argv list of sys.argv[1] (JSON) through cli.main in this fresh
 # interpreter and prints the exit statuses and which array modules got loaded
 # (ctypes included: only the array tasks set the heap thresholds through it;
-# numpy.random too: no task draws from it).
+# numpy.random too: no task draws from it; and logging: no task logs).
 _FRESH_MAIN = """
 import contextlib, io, json, sys
 from shockaudit import cli
@@ -1013,7 +1080,7 @@ statuses = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         statuses.append(cli.main(argv))
-array_modules = ("numpy", "numpy.random", "shockaudit.fv_solver", "shockaudit.weakcheck", "ctypes")
+array_modules = ("numpy", "numpy.random", "shockaudit.fv_solver", "shockaudit.weakcheck", "ctypes", "logging")
 print(json.dumps({"statuses": statuses, "loaded": [m for m in array_modules if m in sys.modules]}))
 """
 
@@ -1028,7 +1095,7 @@ def _fresh_main(argvs):
 
 
 class TestLazyImports:
-    """Only fv-run and weak-verify load numpy, ctypes and the array oracles."""
+    """Only fv-run and weak-verify load numpy, ctypes and the array oracles; no task loads logging."""
 
     def test_closed_form_tasks_import_no_array_module(self, tmp_path):
         out = str(tmp_path / "out")
@@ -1168,6 +1235,23 @@ class TestWeakVerify:
             "tolerances": {"residual": 10.0},
             "output": {"dir": str(tmp_path / out)},
         }
+
+    def test_overflow_prints_only_the_error_record(self, tmp_path, capsys):
+        # c_v = 9.1e-12 puts the energy past the double range inside the
+        # quadrature; numpy's overflow warnings used to precede the record.
+        cfg = {
+            "model": {"kind": "ideal_gas_entropy", "gamma": 1.4, "c_v": 9.1e-12},
+            "solution": {"states": [{"rho": 1, "u": 0, "s": 6.45e-9}] * 2,
+                         "shock_positions": [0], "shock_speeds": [0]},
+            "task": {"name": "weak-verify", "count": 2},
+            "output": {"dir": str(tmp_path / "out")},
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would escape main as an exception
+            assert main(["--config", write_config(tmp_path, cfg)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["kind"] == "numerical"
 
     def test_valid_solution_passes(self, tmp_path):
         cfg = self.base_config(

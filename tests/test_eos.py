@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from shockaudit.eos import (
     sound_speed_from,
     temperature,
 )
-from shockaudit.errors import InvalidStateError, UnsupportedModelError
+from shockaudit.errors import InvalidStateError, NumericalError, UnsupportedModelError
 
 GAMMA2 = GasModel.barotropic(K=2.0 / 3.0, gamma=2.0)
 IDEAL = GasModel.ideal_gas(gamma=1.4, e_ref=1.0, c_v=1.0)
@@ -246,6 +247,19 @@ class TestEntropyInversion:
     def test_array_inversion_rejects_nonpositive_cells(self, rho, p):
         with pytest.raises(InvalidStateError):
             entropy_density_from_pressure(IDEAL, rho, p)
+
+    @pytest.mark.parametrize("model, p", [
+        (GasModel.ideal_gas(gamma=1.4, e_ref=1e-320), 1.0),  # (gamma - 1) e_ref rho**gamma is subnormal
+        (IDEAL, 1e-310),
+    ], ids=["scale", "pressure"])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+    def test_subnormal_scale_or_pressure_is_refused(self, model, p, as_array):
+        rho, p = (np.array([1.0, 1.0]), np.array([1.0, p])) if as_array else (1.0, p)
+        with pytest.raises(NumericalError, match="underflows to a subnormal"):
+            entropy_density_from_pressure(model, rho, p)
+
+    def test_smallest_normal_pressure_is_inverted(self):
+        assert math.isfinite(entropy_density_from_pressure(IDEAL, 1.0, sys.float_info.min))
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
