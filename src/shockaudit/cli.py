@@ -22,7 +22,10 @@ the process heap for reuse; the cost is that up to 64 MiB of freed heap
 may stay resident instead of going back to the kernel.  Where libc has no
 mallopt (macOS, Windows) nothing is changed.
 
-Exit status: 0 all configured audits passed, 1 an audit failed, 2 the
+Each task hands main its gated figures by tolerance name, and main writes the
+summary's audit block from them: {"checks": [...], "pass": ...}, one check each.
+
+Exit status: 0 every check passed, 1 a check failed, 2 the
 configuration or the command line could not be parsed, 3 it failed
 validation (an unusable output.dir included), 4 a numerical procedure
 failed (an array size too large to allocate included).
@@ -204,7 +207,6 @@ def _run_shock_example(cfg: RunConfig):
     sol = cfg.solution
     residuals = [rh_residuals(j, sol.model) for j in sol.jumps()]
     dedt, neg_dvdt, gap = volume_potential_mismatch(sol)
-    tol = cfg.tolerances["residual"]
     worst = max(gated_residual(r, sol.model) for r in residuals)
     summary = {
         "gamma": cfg.task["gamma"],
@@ -216,7 +218,6 @@ def _run_shock_example(cfg: RunConfig):
         "gap": gap,
         "residuals": residuals[0].as_dict(),
         "solution": cfgmod.solution_to_dict(sol),
-        "audit": {"max_residual": worst, "tolerance": tol, "pass": worst <= tol},
     }
     rows = [
         ("K", sol.model.K),
@@ -226,7 +227,7 @@ def _run_shock_example(cfg: RunConfig):
         ("gap", gap),
         ("max_residual", worst),
     ]
-    return summary, ("quantity", "value"), list(zip(*rows))
+    return summary, {"residual": worst}, ("quantity", "value"), list(zip(*rows))
 
 
 def _run_energy_audit(cfg: RunConfig):
@@ -234,7 +235,6 @@ def _run_energy_audit(cfg: RunConfig):
     dedt, neg_dvdt, gap = volume_potential_mismatch(sol)
     lam_l, lam_r = calibrate_lambda(sol)
     aug = augmented_energy_rate(sol, (lam_l, lam_r))
-    tol = cfg.tolerances["augmented"]
     summary = {
         "dEdt": dedt,
         "neg_dVdt_volume": neg_dvdt,
@@ -242,7 +242,6 @@ def _run_energy_audit(cfg: RunConfig):
         "lambda_calibrated": {"left": lam_l, "right": lam_r},
         "augmented_rate": aug,
         "solution": cfgmod.solution_to_dict(sol),
-        "audit": {"augmented_rate": aug, "tolerance": tol, "pass": abs(aug) <= tol},
     }
     rows = [
         ("dEdt", dedt),
@@ -252,17 +251,16 @@ def _run_energy_audit(cfg: RunConfig):
         ("lambda_right", lam_r),
         ("augmented_rate", aug),
     ]
-    return summary, ("quantity", "value"), list(zip(*rows))
+    return summary, {"augmented": abs(aug)}, ("quantity", "value"), list(zip(*rows))
 
 
 def _run_rh_solve(cfg: RunConfig):
     model = cfg.model
-    tol = cfg.tolerances["residual"]
     if "jump" in cfg.task:
-        jump = cfgmod.jump_from_dict(cfg.task["jump"])
+        jump = cfg.task["jump"]
         summary = {"mode": "audit", "jump": cfgmod.jump_to_dict(jump)}
     else:
-        left = cfgmod.state_from_dict(cfg.task["left"], "task.left")
+        left = cfg.task["left"]
         branch = cfg.task["branch"]
         jump = hugoniot_solve(left, cfg.task["rho_right"], model, branch=branch)
         summary = {
@@ -276,13 +274,9 @@ def _run_rh_solve(cfg: RunConfig):
         if model.carries_entropy:
             summary["s_right"] = jump.right.s
     res = rh_residuals(jump, model)
-    worst = gated_residual(res, model)
-    summary.update(
-        residuals=res.as_dict(),
-        audit={"max_residual": worst, "tolerance": tol, "pass": worst <= tol},
-    )
+    summary["residuals"] = res.as_dict()
     rows = list(summary["residuals"].items())
-    return summary, ("quantity", "value"), list(zip(*rows))
+    return summary, {"residual": gated_residual(res, model)}, ("quantity", "value"), list(zip(*rows))
 
 
 def _run_fv(cfg: RunConfig):
@@ -305,21 +299,15 @@ def _run_fv(cfg: RunConfig):
         observers=[snaps, track],
     )
     measurement = measure_shock(model, grid, result.field, trajectory=track.points)
-    tol = cfg.tolerances["conservation"]
-    drift = float(np.max(result.conservation_drift))
     summary = {
         "n_cells": task["n_cells"],
         "t_final": result.t,
         "n_steps": result.n_steps,
-        "conservation_drift": {
-            comp: float(d)
-            for comp, d in zip(("mass", "momentum", "energy"), result.conservation_drift)
-        },
+        "conservation_drift": {comp: float(d) for comp, d in zip(cfgmod.LAWS, result.conservation_drift)},
         "shock_position_series": [[t, x] for t, x in track.points],
         "measured_residuals": measurement.residual.as_dict(),
         "measured_position": measurement.position,
         "measured_v_s": measurement.jump.v_s,
-        "audit": {"max_drift": drift, "tolerance": tol, "pass": drift <= tol},
     }
 
     header = ("t", "x", "rho", "u", "s") if model.carries_entropy else ("t", "x", "rho", "u")
@@ -331,7 +319,7 @@ def _run_fv(cfg: RunConfig):
     # One float64 array per header name, snapshots one after another; with
     # no snapshots there are no columns and the CSV is the header alone.
     columns = [np.concatenate(parts) for parts in zip(*blocks)]
-    return summary, header, columns
+    return summary, {"conservation": float(np.max(result.conservation_drift))}, header, columns
 
 
 def _run_weak_verify(cfg: RunConfig):
@@ -346,7 +334,6 @@ def _run_weak_verify(cfg: RunConfig):
         bumps = [BumpTestFunction(**b) for b in task["bumps"]]
     else:
         bumps = standard_battery(sol, count=task["count"], seed=task["seed"])
-    tol = cfg.tolerances["weak_residual"]
     # One quadrature pass for the whole battery; rows stay component-major.
     residuals = battery_residuals(sol, components, bumps, quad)
     rows = []
@@ -361,10 +348,9 @@ def _run_weak_verify(cfg: RunConfig):
         "n_bumps": len(bumps),
         "max_abs_residual": worst,
         "solution": cfgmod.solution_to_dict(sol),
-        "audit": {"max_abs_residual": worst, "tolerance": tol, "pass": worst <= tol},
     }
     header = ("component", "t0", "x0", "rt", "rx", "residual")
-    return summary, header, list(zip(*rows))
+    return summary, {"weak_residual": worst}, header, list(zip(*rows))
 
 
 _TASKS = {
@@ -401,10 +387,16 @@ def _error_record(status: int, kind: str, message: str) -> str:
 def main(argv=None) -> int:
     try:
         cfg = _resolve_config(_build_parser().parse_args(argv))
-        summary, header, columns = _TASKS[cfg.task_name](cfg)
-        summary.update(task=cfg.task_name, model=cfgmod.model_to_dict(cfg.model))
+        summary, figures, header, columns = _TASKS[cfg.task_name](cfg)
+        checks = [
+            {"check": name, "oracle": cfgmod.TOLERANCE_ORACLES[name], "value": value,
+             "tolerance": cfg.tolerances[name], "pass": value <= cfg.tolerances[name]}  # NaN fails
+            for name, value in figures.items()
+        ]
+        audit = {"checks": checks, "pass": all(check["pass"] for check in checks)}
+        summary.update(task=cfg.task_name, model=cfgmod.model_to_dict(cfg.model), audit=audit)
         _emit(cfg, summary, header, columns)
-        return EXIT_OK if summary["audit"]["pass"] else EXIT_AUDIT
+        return EXIT_OK if audit["pass"] else EXIT_AUDIT
     except ConfigParseError as exc:
         sys.stderr.write(_error_record(EXIT_PARSE, "parse", str(exc)))
         return EXIT_PARSE

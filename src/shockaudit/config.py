@@ -23,6 +23,16 @@ TOLERANCE_DEFAULTS = {
     "augmented": 1e-12,
 }
 
+# The oracle behind the figure each tolerance gates: an audit check's "oracle" tag.
+TOLERANCE_ORACLES = {
+    "residual": "closed_form",
+    "weak_residual": "weak",
+    "conservation": "fv",
+    "augmented": "closed_form",
+}
+
+LAWS = ("mass", "momentum", "energy")
+
 # One row per task: its task-block keys, each with its default (None: no
 # default); the top-level blocks it reads besides task, tolerances and output
 # (any other block would be ignored); and those it cannot run without.
@@ -83,11 +93,14 @@ def _reals(block: dict, key: str, where: str) -> tuple:
 
 def _validate_weak_task(task: dict) -> None:
     """Quadrature sizes and the bump battery must make a non-vacuous audit."""
-    for key in ("order", "panels", "count"):
-        _require_int(task, key, 1)
+    for key, minimum in (("order", 1), ("panels", 1), ("count", 1), ("seed", 0)):
+        _require_int(task, key, minimum)
     for key in ("components", "bumps"):
         if key in task and not (isinstance(task[key], list) and task[key]):
             raise ConfigError(f"task.{key} must be a non-empty list")
+    for component in task.get("components", ()):
+        if component not in LAWS:
+            raise ConfigError(f"unknown component {component!r}")
     keys = ("rt", "rx", "t0", "x0")
     bumps = []  # new dicts: the caller's bumps keep their JSON numbers
     for i, bump in enumerate(task.get("bumps", [])):
@@ -237,7 +250,10 @@ def task_name(raw: dict) -> str:
 
 
 def validate_config(raw: dict) -> RunConfig:
-    """Validate raw (strict mode) into a RunConfig whose new task block has defaults filled, reals as floats."""
+    """Validate raw (strict mode) into a RunConfig whose new task block has defaults filled, reals as floats.
+
+    rh-solve's `left` comes back as a FluidState and its `jump` as a ShockJump.
+    """
     name = task_name(raw)
     keys, reads, needs = TASKS[name]
     unread = sorted(set(raw) - {"task", "tolerances", "output"} - set(reads))
@@ -312,8 +328,11 @@ def validate_config(raw: dict) -> RunConfig:
                 raise ConfigError(f"task 'rh-solve' needs {key!r} (or a jump block)")
 
     if name == "weak-verify":
-        laws = ["mass", "momentum", "energy"]
-        task_block.setdefault("components", laws if model.carries_entropy else laws[:2])
+        task_block.setdefault("components", list(LAWS if model.carries_entropy else LAWS[:2]))
+    if "jump" in task_block:
+        task_block["jump"] = jump_from_dict(task_block["jump"])
+    elif "left" in task_block:
+        task_block["left"] = state_from_dict(task_block["left"], "task.left")
     if "gamma" in task_block:  # shock-example, or energy-audit without a solution block
         solution = stationary_shock_example(task_block["gamma"])
         model = solution.model

@@ -18,6 +18,8 @@ from shockaudit import cli
 from shockaudit.cli import main
 from shockaudit.config import (
     TASK_NAMES,
+    TASKS,
+    RunConfig,
     dumps_deterministic,
     format_float,
     jump_from_dict,
@@ -29,7 +31,7 @@ from shockaudit.config import (
     validate_config,
 )
 from shockaudit.eos import FluidState, GasModel
-from shockaudit.errors import ConfigError
+from shockaudit.errors import ConfigError, InvalidStateError
 from shockaudit.fv_solver import Grid1D, ShockTrack, Snapshots, cell_primitives, field_from_solution, simulate
 from shockaudit.rh import ShockJump, hugoniot_solve
 from shockaudit.shock1d import stationary_shock_example
@@ -351,6 +353,107 @@ class TestValidatedTask:
         assert cfg.task["gamma"] == 2.0 and type(cfg.task["gamma"]) is float
         assert cfg.solution == stationary_shock_example(2.0)
         assert cfg.model == cfg.solution.model
+
+
+def _mode_doc(name, key):
+    """A valid document of the task in the mode that reads key (jump or solve, bumps or battery)."""
+    doc = _valid_doc(name)
+    task = doc["task"]
+    if key == "jump":
+        del task["left"], task["rho_right"]
+        task["jump"] = {"left": {"rho": 1, "u": 2}, "right": {"rho": 2, "u": 1}}
+    elif name == "weak-verify" and key != "bumps":
+        del task["bumps"]
+    return doc
+
+
+class TestValidationAtTheBoundary:
+    """validate_config checks every task key, so no runner meets a malformed value."""
+
+    @pytest.mark.parametrize("name,key", [(name, key) for name, row in TASKS.items() for key in row[0]])
+    @pytest.mark.parametrize("value", ["x", True, None, [], {}, ["vorticity"]], ids=repr)
+    def test_bad_value_is_refused(self, name, key, value):
+        doc = _mode_doc(name, key)
+        assert isinstance(validate_config(doc), RunConfig)
+        doc["task"][key] = value
+        with pytest.raises((ConfigError, InvalidStateError)):
+            validate_config(doc)
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("components", ["mass", "vorticity"], "unknown component 'vorticity'"),
+         ("seed", 1.5, "task.seed must be an integer >= 0, got 1.5")],
+    )
+    def test_weak_battery_messages(self, key, value, message):
+        doc = _mode_doc("weak-verify", key)
+        doc["task"][key] = value
+        with pytest.raises(ConfigError, match=message):
+            validate_config(doc)
+
+    def test_rh_solve_reads_parsed_states(self):
+        solve = validate_config(_valid_doc("rh-solve")).task
+        assert solve["left"] == FluidState(1.0, 2.0)
+        jump = validate_config(_mode_doc("rh-solve", "jump")).task
+        assert jump["jump"] == ShockJump(FluidState(1.0, 2.0), FluidState(2.0, 1.0))
+
+
+def _rh_jump_doc(u_right):
+    doc = _mode_doc("rh-solve", "jump")
+    doc["task"]["jump"]["right"]["u"] = u_right
+    return doc
+
+
+def _fv_doc(tolerance):
+    task = {"name": "fv-run", "n_cells": 100, "t_final": 0.1, "snapshots": 2}
+    return dict(_baro_stationary_shock(), task=task, tolerances={"conservation": tolerance})
+
+
+def _csv_quantity(out_dir, stem, name):
+    with open(os.path.join(out_dir, f"{stem}.csv")) as fh:
+        return float(dict(line.strip().split(",") for line in fh)[name])
+
+
+class TestAuditShape:
+    """main writes every audit block: one check per gated figure, and the verdict is all of them."""
+
+    CASES = [
+        ("shock-example", lambda: _valid_doc("shock-example"),
+         lambda out, s: _csv_quantity(out, "shock_example", "max_residual")),
+        ("energy-audit", lambda: _valid_doc("energy-audit"), lambda out, s: abs(s["augmented_rate"])),
+        ("rh-solve", lambda: _valid_doc("rh-solve"),
+         lambda out, s: max(abs(s["residuals"][law]) for law in ("mass", "momentum"))),
+        ("rh-solve", lambda: _rh_jump_doc(1.3),
+         lambda out, s: max(abs(s["residuals"][law]) for law in ("mass", "momentum"))),
+        ("fv-run", lambda: _fv_doc(1e-300), lambda out, s: max(s["conservation_drift"].values())),
+        ("fv-run", lambda: _fv_doc(1e-10), lambda out, s: max(s["conservation_drift"].values())),
+        ("weak-verify", lambda: dict(_valid_doc("weak-verify"), tolerances={"weak_residual": 1e-300}),
+         lambda out, s: s["max_abs_residual"]),
+        ("weak-verify", lambda: _valid_doc("weak-verify"), lambda out, s: s["max_abs_residual"]),
+    ]
+    ORACLE = {"shock-example": "closed_form", "energy-audit": "closed_form", "rh-solve": "closed_form",
+              "fv-run": "fv", "weak-verify": "weak"}
+    CHECK = {"shock-example": "residual", "energy-audit": "augmented", "rh-solve": "residual",
+             "fv-run": "conservation", "weak-verify": "weak_residual"}
+
+    def test_every_task_writes_one_shape(self, tmp_path):
+        verdicts = []
+        for i, (name, doc, figure) in enumerate(self.CASES):
+            out = str(tmp_path / str(i))
+            status = main(["--config", write_config(tmp_path, doc()), "--out-dir", out])
+            with open(os.path.join(out, f"{name.replace('-', '_')}.json")) as fh:
+                summary = json.load(fh)
+            audit = summary["audit"]
+            assert set(audit) == {"checks", "pass"}
+            [check] = audit["checks"]
+            assert set(check) == {"check", "oracle", "value", "tolerance", "pass"}
+            assert (check["check"], check["oracle"]) == (self.CHECK[name], self.ORACLE[name])
+            assert check["value"] == figure(out, summary)
+            assert check["tolerance"] == validate_config(doc()).tolerances[check["check"]]
+            assert check["pass"] is (check["value"] <= check["tolerance"])
+            assert audit["pass"] is all(c["pass"] for c in audit["checks"])
+            assert status == (0 if audit["pass"] else 1)
+            verdicts.append(audit["pass"])
+        assert verdicts == [True, True, True, False, False, True, False, True]
 
 
 class TestJumpGate:
