@@ -40,6 +40,7 @@ from functools import cache, partial
 
 from . import config as cfgmod
 from .config import RunConfig, dumps_deterministic, format_float
+from .eos import FAMILIES
 from .errors import (
     ConfigError,
     ConfigParseError,
@@ -91,7 +92,7 @@ _FLAGS = {
     "--seed": (partial(_number, kind=int), {"weak-verify": ("task", "seed")}, "bump battery seed"),
     "--gamma": (_number, {"shock-example": ("task", "gamma"), "energy-audit": ("task", "gamma"),
                           "rh-solve": ("model", "gamma")}, "adiabatic exponent"),
-    "--kind": (_text, {"rh-solve": ("model", "kind")}, "barotropic_polytropic or ideal_gas_entropy"),
+    "--kind": (_text, {"rh-solve": ("model", "kind")}, " or ".join(kind.value for kind in FAMILIES)),
     "--K": (_number, {"rh-solve": ("model", "K")}, "barotropic pressure scale"),
     "--e-ref": (_number, {"rh-solve": ("model", "e_ref")}, "ideal-gas reference energy"),
     "--c-v": (_number, {"rh-solve": ("model", "c_v")}, "ideal-gas heat capacity"),
@@ -171,9 +172,11 @@ def _resolve_config(args) -> RunConfig:
             raise ConfigError(f"{block} must be an object, got {type(target).__name__}")
         target[key] = convert(flag, text)
     if name == "rh-solve" and args.config is None:
-        model = doc["model"] = {"kind": "barotropic_polytropic", "gamma": 1.4, **doc.get("model", {})}
-        if model["kind"] == "barotropic_polytropic":
-            model.setdefault("K", 1.0)
+        model = doc["model"] = {"kind": "barotropic_polytropic", **doc.get("model", {})}
+        listed = next((f.parameters for kind, f in FAMILIES.items() if kind.value == model["kind"]), ())
+        for key, value in (("gamma", 1.4), ("K", 1.0)):  # each for a family that lists it
+            if key in listed:
+                model.setdefault(key, value)
     return cfgmod.validate_config(doc)
 
 

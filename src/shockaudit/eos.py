@@ -1,7 +1,8 @@
 """Gas models and the thermodynamic functionals derived from them.
 
-Two equation-of-state families are supported, both in dimensionless desk
-units:
+Each equation-of-state family is one row of FAMILIES: its parameters,
+whether it carries entropy, and its closures.  Two families are supported,
+both in dimensionless desk units:
 
 * barotropic polytrope, p = K rho**gamma, with the mechanical internal
   energy e(rho) defined by e'(rho) = p(rho) / rho**2;
@@ -28,8 +29,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from .errors import InvalidStateError, NumericalError, UnsupportedModelError
 
@@ -53,50 +55,89 @@ def _lib(x):
 
 
 class GasKind(Enum):
-    """Equation-of-state family tags."""
+    """Equation-of-state family tags, one per row of FAMILIES."""
 
     BAROTROPIC_POLYTROPIC = "barotropic_polytropic"
     IDEAL_GAS_ENTROPY = "ideal_gas_entropy"
+
+
+class Family(NamedTuple):
+    """One row of FAMILIES; each closure takes the model first."""
+
+    parameters: dict  # name -> (default, None if required; bound it must exceed; error text)
+    carries_entropy: bool
+    pressure: Callable  # p(rho, eps)
+    energy: Callable  # eps(rho, S) at specific entropy S (None without entropy)
+    sound_speed2: Callable  # c**2(rho, p) = dp/drho at fixed S
+
+
+def _gamma_p_over_rho(model, rho, p):
+    return model.gamma * p / rho  # gamma K rho**(gamma - 1) for the polytrope, without a second power
+
+
+_GAMMA = (None, 1.0, "adiabatic exponent must exceed 1")
+FAMILIES = {
+    GasKind.BAROTROPIC_POLYTROPIC: Family(
+        parameters={"K": (None, 0.0, "pressure scale K must be positive"), "gamma": _GAMMA},
+        carries_entropy=False,
+        pressure=lambda model, rho, eps: model.K * rho ** model.gamma,
+        energy=lambda model, rho, S: model.K / (model.gamma - 1.0) * rho ** model.gamma,
+        sound_speed2=_gamma_p_over_rho,
+    ),
+    GasKind.IDEAL_GAS_ENTROPY: Family(
+        parameters={"gamma": _GAMMA, "e_ref": (1.0, 0.0, "e_ref must be positive"),
+                    "c_v": (1.0, 0.0, "c_v must be positive")},
+        carries_entropy=True,
+        pressure=lambda model, rho, eps: (model.gamma - 1.0) * eps,  # rho**2 de/drho at fixed S
+        energy=lambda model, rho, S: model.e_ref * rho ** model.gamma * math.exp(S / model.c_v),
+        sound_speed2=_gamma_p_over_rho,
+    ),
+}
 
 
 @dataclass(frozen=True)
 class GasModel:
     """Immutable equation-of-state description.
 
-    K is the polytropic pressure scale (barotropic family only); e_ref and
-    c_v are the internal-energy reference scale and specific heat of the
-    entropy-carrying family.
+    A model sets the parameters its FAMILIES row lists, K and gamma for the
+    polytrope (K its pressure scale), gamma, e_ref and c_v for the ideal gas
+    (its reference energy scale and specific heat); the others are None.
     """
 
     kind: GasKind
-    K: float = 1.0
-    gamma: float = 1.4
-    e_ref: float = 1.0
-    c_v: float = 1.0
+    K: float | None = None
+    gamma: float | None = None
+    e_ref: float | None = None
+    c_v: float | None = None
 
     def __post_init__(self):
-        require_finite("gas model", K=self.K, gamma=self.gamma, e_ref=self.e_ref, c_v=self.c_v)
-        if not self.gamma > 1.0:
-            raise InvalidStateError(f"adiabatic exponent must exceed 1, got {self.gamma}")
-        if self.kind is GasKind.BAROTROPIC_POLYTROPIC and not self.K > 0.0:
-            raise InvalidStateError(f"pressure scale K must be positive, got {self.K}")
-        if self.kind is GasKind.IDEAL_GAS_ENTROPY:
-            if not self.e_ref > 0.0:
-                raise InvalidStateError(f"e_ref must be positive, got {self.e_ref}")
-            if not self.c_v > 0.0:
-                raise InvalidStateError(f"c_v must be positive, got {self.c_v}")
+        family = FAMILIES.get(self.kind)
+        if family is None:
+            raise InvalidStateError(f"unknown gas kind {self.kind!r}")
+        unlisted = [f.name for f in fields(self)[1:] if f.name not in family.parameters]
+        foreign = [name for name in unlisted if getattr(self, name) is not None]
+        if foreign:
+            raise InvalidStateError(f"a {self.kind.value} model takes no {foreign}")
+        for name, (default, floor, rule) in family.parameters.items():
+            value = default if getattr(self, name) is None else getattr(self, name)
+            if value is None:
+                raise InvalidStateError(f"a {self.kind.value} model needs {name}")
+            require_finite("gas model", **{name: value})
+            if not value > floor:
+                raise InvalidStateError(f"{rule}, got {value}")
+            object.__setattr__(self, name, value)
 
     @classmethod
     def barotropic(cls, K: float, gamma: float) -> "GasModel":
         return cls(GasKind.BAROTROPIC_POLYTROPIC, K=K, gamma=gamma)
 
     @classmethod
-    def ideal_gas(cls, gamma: float, e_ref: float = 1.0, c_v: float = 1.0) -> "GasModel":
+    def ideal_gas(cls, gamma: float, e_ref: float | None = None, c_v: float | None = None) -> "GasModel":
         return cls(GasKind.IDEAL_GAS_ENTROPY, gamma=gamma, e_ref=e_ref, c_v=c_v)
 
     @property
     def carries_entropy(self) -> bool:
-        return self.kind is GasKind.IDEAL_GAS_ENTROPY
+        return FAMILIES[self.kind].carries_entropy
 
 
 @dataclass(frozen=True)
@@ -114,11 +155,10 @@ class FluidState:
 
 
 def require_valid(model: GasModel, state: FluidState) -> None:
-    """Raise unless the state carries exactly the fields the model needs."""
-    if model.carries_entropy and state.s is None:
-        raise InvalidStateError("entropy density missing for an entropy-carrying model")
-    if not model.carries_entropy and state.s is not None:
-        raise InvalidStateError("entropy density supplied to a barotropic model")
+    """Raise unless the state carries an entropy density exactly when the model does."""
+    if (state.s is None) == model.carries_entropy:
+        raise InvalidStateError("entropy density missing for an entropy-carrying model" if state.s is None
+                                else "entropy density supplied to a barotropic model")
 
 
 def specific_entropy(state: FluidState) -> float:
@@ -129,20 +169,13 @@ def specific_entropy(state: FluidState) -> float:
 
 
 def pressure_from(model: GasModel, rho, eps=None):
-    """Pressure closure: K rho^gamma, or (gamma - 1) eps for the ideal gas."""
-    if model.kind is GasKind.BAROTROPIC_POLYTROPIC:
-        return model.K * rho ** model.gamma
-    # p = rho**2 de/drho at fixed S = (gamma - 1) * eps(rho, s).
-    return (model.gamma - 1.0) * eps
+    """Pressure closure of the model's family."""
+    return FAMILIES[model.kind].pressure(model, rho, eps)
 
 
 def sound_speed_from(model: GasModel, rho, p):
-    """c = sqrt(dp/drho at fixed specific entropy) = sqrt(gamma p / rho).
-
-    Both families share the formula: for the polytrope gamma p / rho is
-    gamma K rho**(gamma - 1), with no second power to evaluate.
-    """
-    return _lib(p).sqrt(model.gamma * p / rho)
+    """c = sqrt(dp/drho at fixed specific entropy)."""
+    return _lib(p).sqrt(FAMILIES[model.kind].sound_speed2(model, rho, p))
 
 
 def pressure(model: GasModel, state: FluidState) -> float:
@@ -155,10 +188,8 @@ def pressure(model: GasModel, state: FluidState) -> float:
 def internal_energy_density(model: GasModel, state: FluidState) -> float:
     """Internal (or mechanical-internal) energy per unit volume, eps = rho * e."""
     require_valid(model, state)
-    if model.kind is GasKind.BAROTROPIC_POLYTROPIC:
-        return model.K / (model.gamma - 1.0) * state.rho ** model.gamma
-    S = specific_entropy(state)
-    return model.e_ref * state.rho ** model.gamma * math.exp(S / model.c_v)
+    S = None if state.s is None else state.s / state.rho
+    return FAMILIES[model.kind].energy(model, state.rho, S)
 
 
 def _kinetic_energy_density(state: FluidState) -> float:

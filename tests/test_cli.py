@@ -30,7 +30,7 @@ from shockaudit.config import (
     solution_to_dict,
     validate_config,
 )
-from shockaudit.eos import FluidState, GasModel
+from shockaudit.eos import FAMILIES, FluidState, GasModel
 from shockaudit.errors import ConfigError, InvalidStateError
 from shockaudit.fv_solver import Grid1D, ShockTrack, Snapshots, cell_primitives, field_from_solution, simulate
 from shockaudit.rh import ShockJump, hugoniot_solve
@@ -455,6 +455,19 @@ class TestAuditShape:
             verdicts.append(audit["pass"])
         assert verdicts == [True, True, True, False, False, True, False, True]
 
+    def test_figure_equal_to_its_tolerance_passes(self, tmp_path):
+        # The reference jump claimed at v_s = 0.001 leaves a mass residual of 0.001.
+        jump = {"left": {"rho": 1.0, "u": 2.0}, "right": {"rho": 2.0, "u": 1.0}, "v_s": 0.001}
+        doc = {"model": {"kind": "barotropic_polytropic", "K": 2.0 / 3.0, "gamma": 2.0},
+               "task": {"name": "rh-solve", "jump": jump}}
+        out = str(tmp_path / "out")
+        assert main(["--config", write_config(tmp_path, doc), "--out-dir", out]) == 1
+        figure = read_summary(tmp_path, "rh_solve")["audit"]["checks"][0]["value"]
+        assert figure == pytest.approx(0.001, rel=1e-12)
+        for tolerance, status in ((figure, 0), (math.nextafter(figure, 0.0), 1)):
+            doc["tolerances"] = {"residual": tolerance}
+            assert main(["--config", write_config(tmp_path, doc), "--out-dir", out]) == status
+
 
 class TestJumpGate:
     """A claimed solution that breaks the jump conditions stops at the config, in every task."""
@@ -630,6 +643,12 @@ class TestFlagsMatchConfig:
         assert summary["right"]["rho"] == 9.0
         assert summary["model"] == {**self.BARO, "gamma": 3.0}
         assert not (tmp_path / "ignored").exists()
+
+
+def test_kind_help_names_every_family():
+    text = " ".join(cli._build_parser().format_help().split())
+    kind_help = text[text.index("--kind KIND"):text.index("(sets model.kind for rh-solve)")]
+    assert all(kind.value in kind_help for kind in FAMILIES)
 
 
 class TestIgnoredInputs:
@@ -1355,6 +1374,18 @@ class TestWeakVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["kind"] == "numerical"
+
+    @pytest.mark.parametrize(
+        "components, message",
+        [(["mass", "mass"], "component 'mass' is repeated"),
+         (["mass", "energy"], "component 'energy' needs an entropy-carrying model")],
+        ids=["repeated", "barotropic-energy"],
+    )
+    def test_components_it_cannot_gate(self, tmp_path, capsys, components, message):
+        # The exact reference shock would run "mass" twice, or fail on the
+        # energy its barotropic shock dissipates (max residual 0.038).
+        doc = {**_baro_stationary_shock(), "task": {"name": "weak-verify", "count": 2, "components": components}}
+        assert message in TestIgnoredInputs.rejected(tmp_path, capsys, ["--config", write_config(tmp_path, doc)])
 
     def test_valid_solution_passes(self, tmp_path):
         cfg = self.base_config(

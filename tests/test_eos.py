@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import oracles
 from shockaudit.eos import (
+    FAMILIES,
     FluidState,
     GasKind,
     GasModel,
@@ -44,6 +46,37 @@ class TestModelConstruction:
             GasModel.ideal_gas(gamma=1.4, e_ref=-1.0)
         with pytest.raises(InvalidStateError):
             GasModel.ideal_gas(gamma=1.4, c_v=0.0)
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            (GasKind.IDEAL_GAS_ENTROPY, {"K": -5.0, "gamma": 1.4}),
+            (GasKind.IDEAL_GAS_ENTROPY, {"K": 1.0, "gamma": 1.4}),
+            (GasKind.BAROTROPIC_POLYTROPIC, {"K": 1.0, "gamma": 2.0, "e_ref": -3.0}),
+            (GasKind.BAROTROPIC_POLYTROPIC, {"K": 1.0, "gamma": 2.0, "c_v": 1.0}),
+        ],
+    )
+    def test_parameters_of_the_other_family_rejected(self, kind, params):
+        foreign = sorted(set(params) - set(FAMILIES[kind].parameters))
+        with pytest.raises(InvalidStateError, match=re.escape(f"takes no {foreign}")):
+            GasModel(kind, **params)
+
+    @pytest.mark.parametrize("kind, params", [(GasKind.BAROTROPIC_POLYTROPIC, {"gamma": 2.0}),
+                                              (GasKind.BAROTROPIC_POLYTROPIC, {"K": 1.0}),
+                                              (GasKind.IDEAL_GAS_ENTROPY, {})])
+    def test_required_parameters(self, kind, params):
+        with pytest.raises(InvalidStateError, match="needs"):
+            GasModel(kind, **params)
+
+    def test_defaults_and_unlisted_parameters(self):
+        ideal = GasModel(GasKind.IDEAL_GAS_ENTROPY, gamma=1.4)
+        assert (ideal.K, ideal.e_ref, ideal.c_v) == (None, 1.0, 1.0)
+        assert ideal == GasModel.ideal_gas(gamma=1.4) == GasModel.ideal_gas(gamma=1.4, e_ref=1.0, c_v=1.0)
+        assert (GAMMA2.e_ref, GAMMA2.c_v) == (None, None)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InvalidStateError, match="unknown gas kind"):
+            GasModel("barotropic_polytropic", K=1.0, gamma=2.0)
 
     def test_state_needs_positive_density(self):
         with pytest.raises(InvalidStateError):
@@ -114,6 +147,18 @@ class TestTemperature:
             return internal_energy_density(IDEAL, FluidState(1.0, 0.0, s))
 
         assert abs(temperature(IDEAL, state) - central_diff(eps_of_s, 0.0, h=1e-5)) < 1e-6
+
+    @pytest.mark.parametrize("rho, e_ref, c_v, S", [(2.5, 1.0, 1.0, 0.0), (1.0, 1.0, 0.4, 0.3),
+                                                    (0.3, 2.0, 1.7, -0.5), (7.0, 0.6, 3.0, 1.2)])
+    def test_entropy_derivative_away_from_unit_density_and_heat(self, rho, e_ref, c_v, S):
+        # T = d eps / d s at fixed rho, with s = rho S the entropy density.
+        model = GasModel.ideal_gas(gamma=1.6, e_ref=e_ref, c_v=c_v)
+
+        def eps_of_s(s):
+            return internal_energy_density(model, FluidState(rho, 0.0, s))
+
+        expected = central_diff(eps_of_s, rho * S, h=1e-5 * rho * c_v)
+        assert temperature(model, FluidState(rho, 0.0, rho * S)) == pytest.approx(expected, rel=1e-8)
 
     def test_monotone_in_entropy(self):
         temps = [temperature(IDEAL, FluidState(1.0, 0.0, s)) for s in np.linspace(-1.0, 1.0, 9)]
